@@ -231,7 +231,7 @@ type request struct {
 
 // measure runs the open loop for d: each stream sends on its own fixed
 // schedule, whether or not earlier requests have been answered.
-func (s *cropStack) measure(d time.Duration) (phase, error) {
+func (s *cropStack) measure(d time.Duration, minSamples int) (phase, error) {
 	var before ledgerSnapshot
 	if s.tr != nil {
 		var err error
@@ -241,7 +241,7 @@ func (s *cropStack) measure(d time.Duration) (phase, error) {
 		s.tr.reset()
 	}
 	period := time.Duration(float64(time.Second) * cropStreams / s.rate) // per stream
-	perStream := int(d / period)
+	perStream := max(int(d/period), (minSamples+cropStreams-1)/cropStreams)
 	reqs := make([][]request, cropStreams)
 	sem := make(chan struct{}, cropMaxInFlight)
 	var wg sync.WaitGroup
@@ -339,10 +339,8 @@ func (s *cropStack) close() {
 // ledgerSnapshot is the counters the crops-served ledger differences
 // across the traced phase.
 type ledgerSnapshot struct {
-	gw      gateway.Stats
-	prom    map[string]float64 // /metricsz samples summed over replicas
-	mallocs uint64
-	bytes   uint64
+	gw   gateway.Stats
+	prom map[string]float64 // /metricsz samples summed over replicas
 	// accepted, shed and rejected sum the replicas' /statsz admission
 	// counters.
 	accepted, shed, rejected uint64
@@ -372,9 +370,6 @@ func (s *cropStack) snapshot() (ledgerSnapshot, error) {
 		snap.shed += st.Server.Shed
 		snap.rejected += st.Server.BreakerRejected
 	}
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	snap.mallocs, snap.bytes = ms.Mallocs, ms.TotalAlloc
 	return snap, nil
 }
 
@@ -505,7 +500,9 @@ func (t *cropTracer) values(a, b ledgerSnapshot) map[string]float64 {
 		return ratio(delta(name+"_sum"+labels)*1e3, delta(name+"_count"+labels))
 	}
 	stage := func(s obs.Stage) float64 { return meanMs("pd_stage_seconds", `{stage="`+s.String()+`"}`) }
-	frames := delta("pd_frames_out_total")
+	// The allocation rows stay off path (0): this process also runs the
+	// load generator, its HTTP client and the decoding of every answer, so
+	// its MemStats would not be the core layer's.
 	v := offPathLayers()
 	// The rt frame span is the span of the detect call inside the
 	// pipeline, so it is this path's detect span.
@@ -520,8 +517,6 @@ func (t *cropTracer) values(a, b ledgerSnapshot) map[string]float64 {
 	v["core.unattributed_ms"] = v["core.detect_ms"] - v["core.scan_ms"] - v["core.nms_ms"] -
 		v["hog.cells_ms"] - v["hog.norm_ms"] - v["featpyr.pyramid_ms"]
 	v["serve.decode_ms"] = stage(obs.StageDecode)
-	v["core.allocs_per_frame"] = ratio(float64(b.mallocs-a.mallocs), frames)
-	v["core.alloc_kb_per_frame"] = ratio(float64(b.bytes-a.bytes)/1024, frames)
 	hits, misses := delta("pd_arena_hits_total"), delta("pd_arena_misses_total")
 	v["core.arena_miss_ratio"] = ratio(misses, hits+misses)
 	accepted := float64(b.gw.Accepted - a.gw.Accepted)

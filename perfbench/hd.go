@@ -126,23 +126,21 @@ func (s *hdStack) step() hdFrame {
 	return fr
 }
 
-// correct checks a frame's detections. A dense frame must equal the
-// reference detections of its clip frame exactly; a restricted frame scans
-// a subset of the windows, so it must only keep its boxes inside the frame.
+// correct checks a frame's detections exactly. A dense frame must equal
+// the reference detections of its clip frame; a restricted frame must
+// equal the dense scan's windows filtered by the plan's regions, after NMS.
 func (s *hdStack) correct(fr hdFrame) bool {
 	if fr.plan.Full {
 		return sameDetections(fr.dets, s.in.clipRef[fr.index])
 	}
-	bounds := s.in.clip.Frames[fr.index].Bounds()
-	for _, d := range fr.dets {
-		if !bounds.ContainsRect(d.Box) {
-			return false
-		}
+	regions := fr.plan.Regions
+	if regions == nil {
+		regions = []geom.Rect{} // an empty plan scans nothing
 	}
-	return true
+	return sameDetections(fr.dets, s.in.reference(s.in.clipAnchors[fr.index], regions))
 }
 
-func (s *hdStack) measure(d time.Duration) (phase, error) {
+func (s *hdStack) measure(d time.Duration, minSamples int) (phase, error) {
 	var ph phase
 	ph.lat = make([]float64, 0, 256)
 	var ledger hdLedger
@@ -152,7 +150,7 @@ func (s *hdStack) measure(d time.Duration) (phase, error) {
 		runtime.ReadMemStats(&ms0)
 	}
 	start := time.Now()
-	for time.Since(start) < d {
+	for time.Since(start) < d || ph.out.attempted < minSamples {
 		fr := s.step()
 		ph.out.attempted++
 		if fr.err != nil {

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -60,9 +62,20 @@ type inputs struct {
 	model []byte
 	cfg   core.Config
 	clip  *dataset.Sequence
-	// clipRef[f] is the dense detector's output on clip frame f.
-	clipRef [][]eval.Detection
-	crops   []crop
+	// clipAnchors[f] is every window the dense scan of clip frame f scores
+	// above the threshold, highest score first, and clipRef[f] is what
+	// survives NMS of them: the detector's output on the frame.
+	clipAnchors [][]anchor
+	clipRef     [][]eval.Detection
+	crops       []crop
+}
+
+// anchor is one window the dense scan scores above the threshold: its
+// detection, and where the window sits on its pyramid level.
+type anchor struct {
+	det    eval.Detection
+	x, y   int     // anchor cell on the level
+	sx, sy float64 // level-to-frame scales
 }
 
 // detectorThreshold is the benchmark's operating point on the fixture
@@ -115,11 +128,12 @@ func makeInputs(w string, seed int64, ic inputConfig, workers int) (*inputs, err
 			return nil, fmt.Errorf("rendering clip: %w", err)
 		}
 		for _, f := range in.clip.Frames {
-			dets, err := det.Detect(f)
+			as, err := denseAnchors(det, f)
 			if err != nil {
 				return nil, fmt.Errorf("reference detections: %w", err)
 			}
-			in.clipRef = append(in.clipRef, dets)
+			in.clipAnchors = append(in.clipAnchors, as)
+			in.clipRef = append(in.clipRef, in.reference(as, nil))
 		}
 	case "crops-served":
 		cg := dataset.New(cropSeed)
@@ -142,6 +156,66 @@ func makeInputs(w string, seed int64, ic inputConfig, workers int) (*inputs, err
 		return nil, fmt.Errorf("unknown workload %q", w)
 	}
 	return in, nil
+}
+
+// denseAnchors rebuilds, from the dense score maps, every window the
+// detector keeps before NMS, in the order DetectRaw returns them: raster
+// order within a level, stably sorted by score.
+func denseAnchors(det *core.Detector, frame *imgproc.Gray) ([]anchor, error) {
+	maps, err := det.ScoreMaps(frame)
+	if err != nil {
+		return nil, err
+	}
+	cfg := det.Config()
+	cell := cfg.HOG.CellSize
+	var as []anchor
+	for _, sm := range maps {
+		if sm == nil {
+			continue // a level too small for one window
+		}
+		for y := 0; y < sm.H; y++ {
+			for x := 0; x < sm.W; x++ {
+				score := sm.At(x, y)
+				if !(score > cfg.Threshold) {
+					continue
+				}
+				box := geom.XYWH(x*cell, y*cell, cfg.WindowW, cfg.WindowH).ScaleXY(sm.Scale, sm.ScaleY)
+				as = append(as, anchor{eval.Detection{Box: box, Score: score}, x, y, sm.Scale, sm.ScaleY})
+			}
+		}
+	}
+	sort.SliceStable(as, func(i, j int) bool { return as[i].det.Score > as[j].det.Score })
+	return as, nil
+}
+
+// reference is the detector's output when it scans only the windows of as
+// whose center lies in one of regions, or every window when regions is
+// nil. The detector scans a window of a restricted frame exactly when its
+// center, projected onto the window's level with the region's corners
+// rounded outward, lies in a region (core.RegionSet); what it keeps is
+// then the dense output filtered by that rule, in the same order.
+func (in *inputs) reference(as []anchor, regions []geom.Rect) []eval.Detection {
+	cell := in.cfg.HOG.CellSize
+	var kept []eval.Detection
+	for _, a := range as {
+		if regions == nil {
+			kept = append(kept, a.det)
+			continue
+		}
+		cx := a.x*cell + in.cfg.WindowW/2
+		cy := a.y*cell + in.cfg.WindowH/2
+		for _, r := range regions {
+			if cx >= int(math.Floor(float64(r.Min.X)/a.sx)) && cx < int(math.Ceil(float64(r.Max.X)/a.sx)) &&
+				cy >= int(math.Floor(float64(r.Min.Y)/a.sy)) && cy < int(math.Ceil(float64(r.Max.Y)/a.sy)) {
+				kept = append(kept, a.det)
+				break
+			}
+		}
+	}
+	if in.cfg.NMSOverlap > 0 {
+		return core.NMS(kept, in.cfg.NMSOverlap)
+	}
+	return kept
 }
 
 // makeCrop renders one 128x256 street crop, with one pedestrian filling

@@ -15,19 +15,20 @@ import (
 	"time"
 )
 
-// A run builds the stack at least minSetups times and until minSetupTime
-// has passed, at most maxSetups times; setup_s is the median, and the last
-// stack built is the one timed.
-const (
-	minSetups    = 5
-	maxSetups    = 25
-	minSetupTime = time.Second
-)
+// A run builds the stack setups times; setup_s is the median, and the last
+// stack built is the one timed. An odd count makes the median one set-up.
+const setups = 15
+
+// minP90Samples is the fewest latency samples an end-to-end run takes, so
+// that at least ten lie beyond p90: with n samples, n-1-floor(0.9(n-1))
+// do, which is 10 at n = 101 and 11 here.
+const minP90Samples = 110
 
 // stack is a built workload, ready to time.
 type stack interface {
-	// measure runs the workload for d and returns what it saw.
-	measure(d time.Duration) (phase, error)
+	// measure runs the workload for d, and longer if it has not yet
+	// answered minSamples frames or requests, and returns what it saw.
+	measure(d time.Duration, minSamples int) (phase, error)
 	// settle runs one more frame or request, untimed.
 	settle() error
 	// close stops every goroutine and server the stack started.
@@ -102,8 +103,12 @@ func run(workload string, seed int64, d time.Duration, traced bool) error {
 		return err
 	}
 	fl := floors[workload]
-	qualityOK := rep.q.recall() >= fl.recall && rep.q.precision() >= fl.precision
-	res, err := buildResult(defs, rep.values, rep.out, qualityOK)
+	valid := rep.q.recall() >= fl.recall && rep.q.precision() >= fl.precision
+	if !traced {
+		// An end-to-end run reports p90, which needs ten samples beyond it.
+		valid = valid && beyond(rep.lat, quantile(rep.lat, 0.9)) >= 10
+	}
+	res, err := buildResult(defs, rep.values, rep.out, valid)
 	if err != nil {
 		return err
 	}
@@ -125,22 +130,21 @@ type report struct {
 // off and reports the end-to-end metrics.
 func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, error) {
 	heap0 := heapMB(2)
-	var setups []float64
+	var times []float64
 	var st stack
-	for began := time.Now(); ; {
+	for i := 0; i < setups; i++ {
+		if st != nil {
+			st.close()
+			runtime.GC() // the closed stack is the benchmark's garbage, not set-up work
+		}
 		t0 := time.Now()
-		s, err := newStack(false)
-		if err != nil {
+		var err error
+		if st, err = newStack(false); err != nil {
 			return report{}, fmt.Errorf("set-up: %w", err)
 		}
-		setups = append(setups, time.Since(t0).Seconds())
-		if n := len(setups); n >= maxSetups || n >= minSetups && time.Since(began) >= minSetupTime {
-			st = s
-			break
-		}
-		s.close()
+		times = append(times, time.Since(t0).Seconds())
 	}
-	ph, err := st.measure(d)
+	ph, err := st.measure(d, minP90Samples)
 	if err != nil {
 		st.close()
 		return report{}, err
@@ -153,7 +157,7 @@ func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, e
 	// The latency samples are the benchmark's, not the program's.
 	heap -= heap0 + float64(8*cap(ph.lat))/(1<<20)
 	v := map[string]float64{
-		"setup_s":       quantile(setups, 0.5),
+		"setup_s":       quantile(times, 0.5),
 		"lat_ms_p50":    quantile(ph.lat, 0.5),
 		"lat_ms_p90":    quantile(ph.lat, 0.9),
 		"fps":           float64(ph.out.ok) / ph.elapsed.Seconds(),
@@ -174,7 +178,7 @@ func runTraced(newStack func(bool) (stack, error), d time.Duration) (report, err
 		if err != nil {
 			return report{}, fmt.Errorf("set-up: %w", err)
 		}
-		phases[i], err = st.measure(d / 2)
+		phases[i], err = st.measure(d/2, 0)
 		st.close()
 		if err != nil {
 			return report{}, err

@@ -86,12 +86,14 @@ func (o *outcome) add(p outcome) {
 	o.ok += p.ok
 }
 
-// buildResult pairs measured values with the units of defs. It fails when
-// a defined metric is missing, an undefined one is present, or a value is
+// buildResult pairs measured values with the units of defs. The result is
+// correct only if something was attempted, nothing failed and the run's
+// own checks (quality floors, percentile support) passed. It fails when a
+// defined metric is missing, an undefined one is present, or a value is
 // not finite, so a run never prints a partial or unparsable result.
-func buildResult(defs []metricDef, values map[string]float64, o outcome, qualityOK bool) (result, error) {
+func buildResult(defs []metricDef, values map[string]float64, o outcome, valid bool) (result, error) {
 	r := result{
-		Correct:   o.wrong == 0 && qualityOK && o.attempted > 0,
+		Correct:   o.attempted > 0 && o.failed == 0 && o.wrong == 0 && valid,
 		Attempted: o.attempted,
 		Failed:    o.failed,
 		Metrics:   make(map[string]metricValue, len(defs)),

@@ -7,6 +7,8 @@ import (
 	"regexp"
 	"testing"
 	"time"
+
+	"repro/internal/geom"
 )
 
 // smallInputs keeps the tests quick: a tiny training set, a two-frame
@@ -71,7 +73,7 @@ func TestLedgerReconciles(t *testing.T) {
 			t.Fatal(fr.err)
 		}
 		if !s.correct(fr) {
-			t.Fatalf("frame %d: detections differ from the reference", fr.index)
+			t.Fatalf("frame %d (full scan %v): detections differ from the reference", fr.index, fr.plan.Full)
 		}
 		var sum int64
 		for _, v := range fr.stages {
@@ -93,6 +95,82 @@ func TestLedgerReconciles(t *testing.T) {
 	}
 }
 
+// TestRestrictedFrameCheckCatchesWrongRegions scans restricted frames
+// under regions other than the plan's and checks that correct() rejects
+// every output that differs from the plan's.
+func TestRestrictedFrameCheckCatchesWrongRegions(t *testing.T) {
+	in, err := makeInputs("hd-tracked", 3, smallInputs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newHDStack(in, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caught := 0
+	for i := 0; i < 8; i++ {
+		fr := s.step()
+		if fr.err != nil {
+			t.Fatal(fr.err)
+		}
+		if fr.plan.Full || len(fr.dets) == 0 {
+			continue
+		}
+		if !s.correct(fr) {
+			t.Fatalf("frame %d: the plan's own regions failed the check", fr.index)
+		}
+		plan := fr.plan.Regions
+		frame := in.clip.Frames[fr.index]
+		var shifted []geom.Rect
+		for _, r := range plan {
+			shifted = append(shifted, r.Translate(geom.Pt{X: frame.W / 2, Y: 0}).Intersect(frame.Bounds()))
+		}
+		for name, wrong := range map[string][]geom.Rect{
+			"none":    {},
+			"dropped": plan[1:],
+			"shifted": shifted,
+		} {
+			s.regions.Set(wrong)
+			dets, err := s.det.Detect(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := fr
+			bad.dets = dets
+			if sameDetections(dets, fr.dets) {
+				continue // these regions happen to keep the same windows
+			}
+			if s.correct(bad) {
+				t.Fatalf("frame %d: %s regions gave other detections, and the check passed them", fr.index, name)
+			}
+			caught++
+		}
+	}
+	if caught == 0 {
+		t.Fatal("no wrong region set changed a restricted frame's detections")
+	}
+}
+
+// TestMeasureTakesMinSamples checks that a timed phase shorter than its
+// sample minimum runs on until it has the samples.
+func TestMeasureTakesMinSamples(t *testing.T) {
+	in, err := makeInputs("hd-dense", 3, smallInputs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := newHDStack(in, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph, err := s.measure(time.Nanosecond, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ph.lat) != 3 || ph.out.ok != 3 {
+		t.Fatalf("measured %d samples, %d ok; want 3", len(ph.lat), ph.out.ok)
+	}
+}
+
 func TestCropsServedRunsAndTraces(t *testing.T) {
 	in, err := makeInputs("crops-served", 5, smallInputs, 2)
 	if err != nil {
@@ -104,7 +182,7 @@ func TestCropsServedRunsAndTraces(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.rate = 20 // well within capacity, even under the race detector
-		ph, err := st.measure(time.Second)
+		ph, err := st.measure(time.Second, 0)
 		st.close()
 		if err != nil {
 			t.Fatal(err)
@@ -188,8 +266,11 @@ func TestBuildResultRejectsMissingAndUnknownMetrics(t *testing.T) {
 	if r, _ := buildResult(endToEnd, v, outcome{attempted: 1, wrong: 1, failed: 1}, true); r.Correct {
 		t.Fatal("a wrong answer left the result correct")
 	}
+	if r, _ := buildResult(endToEnd, v, outcome{attempted: 2, failed: 1, ok: 1}, true); r.Correct {
+		t.Fatal("a failed request left the result correct")
+	}
 	if r, _ := buildResult(endToEnd, v, o, false); r.Correct {
-		t.Fatal("quality below the floor left the result correct")
+		t.Fatal("a failed check left the result correct")
 	}
 	v["extra"] = 1
 	if _, err := buildResult(endToEnd, v, o, true); err == nil {
