@@ -44,6 +44,9 @@ const (
 	// cropWarmup requests run inside set-up, enough for the gateway's
 	// hedge delay to leave its no-evidence ceiling.
 	cropWarmup = 16
+	// cropBursts calibration bursts are timed before and after the timed
+	// phase, while the stack is idle; the open loop never is in between.
+	cropBursts = 64
 	// pipelineDeadline is the rt frame budget: loose enough that the
 	// degradation ladder never sheds levels, so answers stay exact.
 	pipelineDeadline = 2 * time.Second
@@ -231,7 +234,8 @@ type request struct {
 
 // measure runs the open loop for d: each stream sends on its own fixed
 // schedule, whether or not earlier requests have been answered.
-func (s *cropStack) measure(d time.Duration, minSamples int) (phase, error) {
+func (s *cropStack) measure(d time.Duration, minSamples int, sp *speedometer) (phase, error) {
+	sp.sample(cropBursts)
 	var before ledgerSnapshot
 	if s.tr != nil {
 		var err error
@@ -278,8 +282,8 @@ func (s *cropStack) measure(d time.Duration, minSamples int) (phase, error) {
 		}(st)
 	}
 	wg.Wait()
-	var ph phase
-	ph.elapsed = time.Since(start)
+	ph := phase{elapsed: time.Since(start), paced: true}
+	sp.sample(cropBursts)
 	var late []float64
 	for st := range reqs {
 		for _, r := range reqs[st] {

@@ -140,7 +140,7 @@ func (s *hdStack) correct(fr hdFrame) bool {
 	return sameDetections(fr.dets, s.in.reference(s.in.clipAnchors[fr.index], regions))
 }
 
-func (s *hdStack) measure(d time.Duration, minSamples int) (phase, error) {
+func (s *hdStack) measure(d time.Duration, minSamples int, sp *speedometer) (phase, error) {
 	var ph phase
 	ph.lat = make([]float64, 0, 256)
 	var ledger hdLedger
@@ -152,7 +152,9 @@ func (s *hdStack) measure(d time.Duration, minSamples int) (phase, error) {
 	start := time.Now()
 	for time.Since(start) < d || ph.out.attempted < minSamples {
 		fr := s.step()
+		sp.sample(1)
 		ph.out.attempted++
+		ph.elapsed += fr.total
 		if fr.err != nil {
 			ph.out.failed++
 			continue
@@ -170,7 +172,6 @@ func (s *hdStack) measure(d time.Duration, minSamples int) (phase, error) {
 			ledger.add(fr, s.in.clip.Frames[fr.index].Bounds())
 		}
 	}
-	ph.elapsed = time.Since(start)
 	if s.rec != nil {
 		var ms1 runtime.MemStats
 		runtime.ReadMemStats(&ms1)

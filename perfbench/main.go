@@ -24,11 +24,15 @@ const setups = 15
 // do, which is 10 at n = 101 and 11 here.
 const minP90Samples = 110
 
+// setupBursts is the calibration bursts timed before each set-up.
+const setupBursts = 4
+
 // stack is a built workload, ready to time.
 type stack interface {
 	// measure runs the workload for d, and longer if it has not yet
 	// answered minSamples frames or requests, and returns what it saw.
-	measure(d time.Duration, minSamples int) (phase, error)
+	// It times calibration bursts on sp where the stack is idle.
+	measure(d time.Duration, minSamples int, sp *speedometer) (phase, error)
 	// settle runs one more frame or request, untimed.
 	settle() error
 	// close stops every goroutine and server the stack started.
@@ -37,10 +41,13 @@ type stack interface {
 
 // phase is the outcome of one timed phase.
 type phase struct {
-	lat     []float64 // ms per answered frame or request
-	out     outcome
-	q       quality
+	lat []float64 // ms per answered frame or request
+	out outcome
+	q   quality
+	// elapsed is the phase's length: the program's frame spans in the
+	// closed loop, the send schedule in the open loop, which is paced.
 	elapsed time.Duration
+	paced   bool
 	layers  map[string]float64 // per-layer ledger; traced phases only
 }
 
@@ -98,7 +105,8 @@ func run(workload string, seed int64, d time.Duration, traced bool) error {
 	if traced {
 		run, defs = runTraced, perLayer
 	}
-	rep, err := run(newStack, d)
+	sp := newSpeedometer()
+	rep, err := run(newStack, d, sp)
 	if err != nil {
 		return err
 	}
@@ -112,7 +120,7 @@ func run(workload string, seed int64, d time.Duration, traced bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Println(stamp(workload, seed, rep.lat, rep.q))
+	fmt.Println(stamp(workload, seed, rep.lat, rep.q, sp))
 	fmt.Println(res.line())
 	return nil
 }
@@ -127,8 +135,8 @@ type report struct {
 }
 
 // runEndToEnd builds the stack repeatedly, times the last one with tracing
-// off and reports the end-to-end metrics.
-func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, error) {
+// off and reports the end-to-end metrics in reference-core time.
+func runEndToEnd(newStack func(bool) (stack, error), d time.Duration, sp *speedometer) (report, error) {
 	heap0 := heapMB(2)
 	var times []float64
 	var st stack
@@ -137,6 +145,7 @@ func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, e
 			st.close()
 			runtime.GC() // the closed stack is the benchmark's garbage, not set-up work
 		}
+		sp.sample(setupBursts)
 		t0 := time.Now()
 		var err error
 		if st, err = newStack(false); err != nil {
@@ -144,7 +153,7 @@ func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, e
 		}
 		times = append(times, time.Since(t0).Seconds())
 	}
-	ph, err := st.measure(d, minP90Samples)
+	ph, err := st.measure(d, minP90Samples, sp)
 	if err != nil {
 		st.close()
 		return report{}, err
@@ -156,29 +165,37 @@ func runEndToEnd(newStack func(bool) (stack, error), d time.Duration) (report, e
 	}
 	// The latency samples are the benchmark's, not the program's.
 	heap -= heap0 + float64(8*cap(ph.lat))/(1<<20)
+	k := sp.scale()
+	phaseS := ph.elapsed.Seconds()
+	if !ph.paced {
+		phaseS *= k // the program's own time, so reference-core time
+	}
 	v := map[string]float64{
 		"setup_s":       quantile(times, 0.5),
 		"lat_ms_p50":    quantile(ph.lat, 0.5),
 		"lat_ms_p90":    quantile(ph.lat, 0.9),
-		"fps":           float64(ph.out.ok) / ph.elapsed.Seconds(),
+		"fps":           float64(ph.out.ok) / phaseS,
 		"recall":        ph.q.recall(),
 		"precision":     ph.q.precision(),
 		"success_ratio": ratio(float64(ph.out.attempted-ph.out.failed), float64(ph.out.attempted)),
 		"heap_mb":       heap,
 	}
+	scaleDurations(endToEnd, v, k)
 	return report{v, ph.out, ph.q, ph.lat}, nil
 }
 
 // runTraced times half of d with tracing off and half with it on, and
-// reports the traced half's per-layer ledger plus the tracing overhead.
-func runTraced(newStack func(bool) (stack, error), d time.Duration) (report, error) {
+// reports the traced half's per-layer ledger, in reference-core time, plus
+// the tracing overhead.
+func runTraced(newStack func(bool) (stack, error), d time.Duration, sp *speedometer) (report, error) {
 	var phases [2]phase
 	for i, traced := range []bool{false, true} {
+		sp.sample(setupBursts)
 		st, err := newStack(traced)
 		if err != nil {
 			return report{}, fmt.Errorf("set-up: %w", err)
 		}
-		phases[i], err = st.measure(d/2, 0)
+		phases[i], err = st.measure(d/2, 0, sp)
 		st.close()
 		if err != nil {
 			return report{}, err
@@ -186,6 +203,7 @@ func runTraced(newStack func(bool) (stack, error), d time.Duration) (report, err
 	}
 	off, on := phases[0], phases[1]
 	v := on.layers
+	scaleDurations(perLayer, v, sp.scale())
 	v["bench.trace_overhead_ratio"] = quantile(on.lat, 0.5)/quantile(off.lat, 0.5) - 1
 	rep := report{values: v, out: off.out, q: off.q, lat: on.lat}
 	rep.out.add(on.out)
@@ -233,9 +251,10 @@ func retainedHeapMB(st stack) (float64, error) {
 
 func msOf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// stamp is the line printed before the result: the machine, the toolchain,
-// the commit, the seed and the sample counts behind each percentile.
-func stamp(workload string, seed int64, lat []float64, q quality) string {
+// stamp is the line printed before the result: the machine and its
+// measured speed, the toolchain, the commit, the seed and the sample
+// counts behind each percentile.
+func stamp(workload string, seed int64, lat []float64, q quality, sp *speedometer) string {
 	p50 := quantile(lat, 0.5)
 	p90 := quantile(lat, 0.9)
 	s := map[string]any{
@@ -244,8 +263,13 @@ func stamp(workload string, seed int64, lat []float64, q quality) string {
 		"nproc":      runtime.NumCPU(),
 		"gomaxprocs": runtime.GOMAXPROCS(0),
 		"cpu":        cpuModel(),
-		"go":         runtime.Version(),
-		"commit":     commit(),
+		"speed": map[string]any{
+			"ns_per_step":     sp.nsPerStep(),
+			"ref_ns_per_step": refNsPerStep,
+			"bursts":          len(sp.ns),
+		},
+		"go":     runtime.Version(),
+		"commit": commit(),
 		"samples": map[string]int{
 			"lat":        len(lat),
 			"beyond_p50": beyond(lat, p50),
