@@ -160,7 +160,14 @@ func TestHedgeEjectProbeReadmit(t *testing.T) {
 	}
 
 	// With r0 out of rotation, traffic flows to r1 without hedging onto
-	// the ejected replica.
+	// the ejected replica. A hedge can win before its primary's goroutine
+	// reaches r0, so first wait for all four r0 calls (warmup plus three
+	// stalled primaries) to land.
+	for settle := time.Now().Add(5 * time.Second); b0.callCount() < 4; time.Sleep(time.Millisecond) {
+		if time.Now().After(settle) {
+			t.Fatalf("r0 calls = %d, want the warmup and three stalled primaries", b0.callCount())
+		}
+	}
 	b0calls := b0.callCount()
 	if _, err := g.Do(ctx, pin, frame); err != nil {
 		t.Fatalf("post-ejection request: %v", err)

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // HealthState is a replica's position in the ejection state machine.
@@ -136,17 +137,7 @@ func (h *healthMachine) eject(now time.Time) {
 
 // backoff is the current episode's ejection backoff.
 func (h *healthMachine) backoff() time.Duration {
-	d := h.cfg.EjectBackoff
-	for i := 1; i < h.ejections; i++ {
-		d *= 2
-		if d >= h.cfg.EjectBackoffMax || d <= 0 {
-			return h.cfg.EjectBackoffMax
-		}
-	}
-	if d > h.cfg.EjectBackoffMax {
-		return h.cfg.EjectBackoffMax
-	}
-	return d
+	return serve.BackoffDelay(h.ejections, h.cfg.EjectBackoff, h.cfg.EjectBackoffMax)
 }
 
 // resetCounters clears the in-rotation failure tracking (after any state

@@ -23,9 +23,11 @@
 //
 // Wiring: core.Config.Metrics carries a *DetectRecorder through the
 // detect path (hog front end, featpyr level builds, scan, NMS),
-// rt.Config.Metrics aggregates per-frame results and traces, and
-// internal/serve exposes the registry as GET /metricsz (Prometheus text)
-// and GET /tracez (slowest-frames JSON).
+// rt.Config.Metrics adds the frame and queue-wait histograms, arena
+// hit/miss counts, the abandoned-scanner ledger, and per-frame traces
+// (frame counts live in rt.Stats alone), and internal/serve exposes the
+// registry as GET /metricsz (Prometheus text) and GET /tracez
+// (slowest-frames JSON).
 package obs
 
 import (
@@ -128,8 +130,11 @@ func (g *Gauge) Load() int64 {
 }
 
 // Metrics is the passive metrics registry of one detection service: the
-// per-stage and per-frame latency histograms, the runtime counters, and
-// the slowest-frames trace ring. The zero value is ready to use; all
+// per-stage and per-frame latency histograms, the arena and cascade
+// counters, the abandoned-scanner leak ledger, and the slowest-frames
+// trace ring. Frame outcome counters (intake, drops, misses, errors,
+// degrade/recover, ROI plans) are not here: rt.Pipeline counts each frame
+// once, in its Stats. The zero value is ready to use; all
 // fields record atomically, so one Metrics may be shared by every
 // pipeline, worker, and scrape handler of a process. Per-frame *stage*
 // scratch is not here — that lives in DetectRecorder, one per concurrent
@@ -147,39 +152,17 @@ type Metrics struct {
 	// frame up.
 	Wait Histogram
 
-	// FramesIn/FramesOut/FramesDropped mirror the rt.Pipeline counters
-	// across every pipeline sharing this registry.
-	FramesIn, FramesOut, FramesDropped Counter
-	// DeadlineMisses, Errors and Panics count per-frame outcomes.
-	DeadlineMisses, Errors, Panics Counter
-	// FramesHung counts frames abandoned by the liveness watchdog: the
-	// scan ran HangTimeout past dispatch without returning, so the
-	// pipeline declared it hung, emitted rt.ErrHung, and wedged.
-	FramesHung Counter
-	// WedgedPipelines gauges pipelines currently in the terminal Wedged
-	// state (incremented when the watchdog fires, decremented when the
-	// wedged pipeline is retired by Close).
-	WedgedPipelines Gauge
-	// AbandonedScanners gauges scan goroutines the watchdog abandoned
-	// that have not yet unstuck and exited. A goroutine stuck in
+	// AbandonedScanners gauges scan goroutines the liveness watchdog
+	// abandoned that have not yet unstuck and exited. A goroutine stuck in
 	// non-cancellable code cannot be killed, only detached; this gauge is
 	// the leak ledger that lets goroutine-settling checks (internal/chaos)
-	// tolerate exactly the accounted-for leaks and no more.
+	// tolerate exactly the accounted-for leaks and no more. It outlives the
+	// pipeline that abandoned the goroutine, which is why it lives here and
+	// not in rt.Stats.
 	AbandonedScanners Gauge
-	// Degrades and Recovers count degradation-ladder rung transitions.
-	Degrades, Recovers Counter
 	// ArenaHits and ArenaMisses count frame-arena scratch checkouts that
 	// were served from the pool versus freshly grown.
 	ArenaHits, ArenaMisses Counter
-
-	// ROIScans counts frames scanned under a track-guided region
-	// restriction (internal/roi), ROIFullScans the scheduler's dense
-	// cadence frames, and ROIRegions the total regions across restricted
-	// frames (ROIRegions/ROIScans is the mean regions per restricted
-	// scan). ROIActivePipelines gauges pipelines currently operating at an
-	// ROI rung of their degradation ladder.
-	ROIScans, ROIFullScans, ROIRegions Counter
-	ROIActivePipelines                 Gauge
 
 	// CascadeWindows counts windows entering the staged early-rejection
 	// scorer, CascadeAccepted the subset that survived every stage (and so
@@ -238,34 +221,6 @@ func (m *Metrics) CascadeSnapshot() CascadeStats {
 	}
 	if last >= 0 {
 		s.StageRejects = append([]uint64(nil), rejects[:last+1]...)
-	}
-	return s
-}
-
-// ROIStats is a point-in-time snapshot of the temporal ROI scheduler
-// counters, as exposed on /statsz.
-type ROIStats struct {
-	Scans           uint64  `json:"scans"`
-	FullScans       uint64  `json:"full_scans"`
-	Regions         uint64  `json:"regions"`
-	MeanRegions     float64 `json:"mean_regions"`
-	ActivePipelines int64   `json:"active_pipelines"`
-}
-
-// ROISnapshot captures the ROI scheduler counters. MeanRegions is the
-// average region count per restricted scan (0 with no traffic).
-func (m *Metrics) ROISnapshot() ROIStats {
-	if m == nil {
-		return ROIStats{}
-	}
-	s := ROIStats{
-		Scans:           m.ROIScans.Load(),
-		FullScans:       m.ROIFullScans.Load(),
-		Regions:         m.ROIRegions.Load(),
-		ActivePipelines: m.ROIActivePipelines.Load(),
-	}
-	if s.Scans > 0 {
-		s.MeanRegions = float64(s.Regions) / float64(s.Scans)
 	}
 	return s
 }

@@ -219,7 +219,7 @@ func TestWritePrometheus(t *testing.T) {
 	r := NewDetectRecorder(m)
 	r.Observe(StageScan, 5*time.Millisecond)
 	m.Frame.Observe(7 * time.Millisecond)
-	m.FramesOut.Add(3)
+	m.ArenaHits.Add(3)
 	var b strings.Builder
 	m.WritePrometheus(&b, "pd")
 	out := b.String()
@@ -227,12 +227,16 @@ func TestWritePrometheus(t *testing.T) {
 		`pd_stage_seconds{stage="scan",quantile="0.5"}`,
 		`pd_stage_seconds_count{stage="scan"} 1`,
 		"pd_frame_seconds_count 1",
-		"pd_frames_out_total 3",
-		"# TYPE pd_frames_out_total counter",
+		"pd_arena_hits_total 3",
+		"# TYPE pd_arena_hits_total counter",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("rendering missing %q:\n%s", want, out)
 		}
+	}
+	// Frame counters are rt.Stats' alone; internal/serve renders them.
+	if strings.Contains(out, "pd_frames_out_total") {
+		t.Errorf("registry renders a frame counter:\n%s", out)
 	}
 	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
 		if !strings.HasPrefix(line, "#") && len(strings.Fields(line)) != 2 {

@@ -97,23 +97,11 @@ func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
 		name string
 		c    *Counter
 	}{
-		{"frames_in_total", &m.FramesIn},
-		{"frames_out_total", &m.FramesOut},
-		{"frames_dropped_total", &m.FramesDropped},
-		{"deadline_misses_total", &m.DeadlineMisses},
-		{"frame_errors_total", &m.Errors},
-		{"frame_panics_total", &m.Panics},
-		{"frames_hung_total", &m.FramesHung},
-		{"degrade_events_total", &m.Degrades},
-		{"recover_events_total", &m.Recovers},
 		{"arena_hits_total", &m.ArenaHits},
 		{"arena_misses_total", &m.ArenaMisses},
 		{"cascade_windows_total", &m.CascadeWindows},
 		{"cascade_accepted_total", &m.CascadeAccepted},
 		{"cascade_blocks_evaluated_total", &m.CascadeBlocks},
-		{"roi_scans_total", &m.ROIScans},
-		{"roi_full_scans_total", &m.ROIFullScans},
-		{"roi_regions_total", &m.ROIRegions},
 	} {
 		fmt.Fprintf(w, "# TYPE %s counter\n", p(c.name))
 		WriteCounterLine(w, p(c.name), "", c.c.Load())
@@ -136,14 +124,6 @@ func (m *Metrics) WritePrometheus(w io.Writer, prefix string) {
 		fmt.Fprintf(w, "# TYPE %s gauge\n", p("cascade_mean_blocks_evaluated"))
 		WriteGaugeLine(w, p("cascade_mean_blocks_evaluated"), "", cs.MeanBlocks)
 	}
-	if rs := m.ROISnapshot(); rs.Scans > 0 {
-		fmt.Fprintf(w, "# TYPE %s gauge\n", p("roi_mean_regions"))
-		WriteGaugeLine(w, p("roi_mean_regions"), "", rs.MeanRegions)
-	}
-	fmt.Fprintf(w, "# TYPE %s gauge\n", p("roi_active_pipelines"))
-	WriteGaugeLine(w, p("roi_active_pipelines"), "", float64(m.ROIActivePipelines.Load()))
-	fmt.Fprintf(w, "# TYPE %s gauge\n", p("wedged_pipelines"))
-	WriteGaugeLine(w, p("wedged_pipelines"), "", float64(m.WedgedPipelines.Load()))
 	fmt.Fprintf(w, "# TYPE %s gauge\n", p("abandoned_scanners"))
 	WriteGaugeLine(w, p("abandoned_scanners"), "", float64(m.AbandonedScanners.Load()))
 	WriteGaugeLine(w, p("trace_slots"), "", float64(m.Traces.Len()))

@@ -108,12 +108,13 @@ type Config struct {
 	ROI *roi.Config
 	// Metrics, if non-nil, receives the pipeline's observability stream:
 	// per-stage latency histograms (via a core detect recorder shared by
-	// every rung), frame/wait histograms, intake/drop/miss/degrade
-	// counters, arena hit/miss counters, and a per-frame trace ring
-	// retaining the slowest frames. Recording is allocation-free; nil (the
-	// default) disables everything. A *obs.Metrics registry may be shared
-	// across pipelines (internal/serve shares one across its workers) —
-	// each pipeline gets its own frame-stage recorder lane internally.
+	// every rung), frame/wait histograms, arena hit/miss counters, the
+	// abandoned-scanner ledger, and a per-frame trace ring retaining the
+	// slowest frames. Frame counts are not mirrored there; Stats is their
+	// only ledger. Recording is allocation-free; nil (the default) disables
+	// everything. A *obs.Metrics registry may be shared across pipelines
+	// (internal/serve shares one across its workers) — each pipeline gets
+	// its own frame-stage recorder lane internally.
 	Metrics *obs.Metrics
 	// MetricsID labels this pipeline's entries in the trace ring (the
 	// FrameTrace.Worker field); internal/serve sets it to the worker index.
@@ -280,10 +281,8 @@ type Pipeline struct {
 
 	// wedged flips once, when the watchdog abandons a scan: the pipeline is
 	// terminally broken (its scanner goroutine is stuck), intake is closed,
-	// and only teardown remains. wedgeRetire makes the obs wedged-gauge
-	// decrement in Close idempotent.
-	wedged      atomic.Bool
-	wedgeRetire sync.Once
+	// and only teardown remains.
+	wedged atomic.Bool
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -312,25 +311,19 @@ type Pipeline struct {
 	// time contract core.RegionSet demands. roiPrev remembers whether the
 	// previous frame was planned at an ROI rung (a re-engage resets the
 	// scheduler so the first frame back is a full scan — the track state
-	// may be stale). roiEngaged mirrors "this pipeline is at an ROI rung"
-	// for the obs gauge, atomically so Close can retire it.
+	// may be stale).
 	sched      *roi.Scheduler
 	tracker    *track.Tracker
 	regions    *core.RegionSet
 	trackBoxes []geom.Rect
 	roiPrev    bool
-	roiEngaged atomic.Bool
 
-	// Observability (all nil/zero when Config.Metrics is nil). rec is this
+	// Observability (all nil when Config.Metrics is nil). rec is this
 	// pipeline's frame-stage recorder lane: the scanner goroutine runs one
-	// frame at a time, so every rung detector can share it. prevDeg/prevRec
-	// are the controller transition counts already flushed into the obs
-	// counters; only the scanner goroutine's recordFrame touches them (the
-	// wedge path's recordHung deliberately does not).
-	metrics          *obs.Metrics
-	rec              *obs.DetectRecorder
-	arena            *core.Arena
-	prevDeg, prevRec uint64
+	// frame at a time, so every rung detector can share it.
+	metrics *obs.Metrics
+	rec     *obs.DetectRecorder
+	arena   *core.Arena
 }
 
 // New builds the degradation ladder for the detector and starts the
@@ -462,7 +455,6 @@ func (p *Pipeline) Submit(frame *imgproc.Gray) bool {
 	}
 	it := frameItem{seq: p.seq.Add(1) - 1, frame: frame, at: time.Now()}
 	if p.stats.tryEnqueue(p.in, it) {
-		p.countIn()
 		return true
 	}
 	// Queue full: evict the oldest queued frame, then retry once. The
@@ -471,28 +463,11 @@ func (p *Pipeline) Submit(frame *imgproc.Gray) bool {
 	// Both the eviction and the enqueue commit their channel operation and
 	// their counter update under the stats lock, so a concurrent Stats()
 	// snapshot can never catch the queue and the counters disagreeing.
-	if p.stats.tryEvict(p.in) {
-		p.countDropped()
-	}
+	p.stats.tryEvict(p.in)
 	if p.stats.tryEnqueue(p.in, it) {
-		p.countIn()
 		return true
 	}
 	return false
-}
-
-// countIn / countDropped mirror intake accounting into the optional obs
-// registry (the authoritative counters live in stats).
-func (p *Pipeline) countIn() {
-	if p.metrics != nil {
-		p.metrics.FramesIn.Inc()
-	}
-}
-
-func (p *Pipeline) countDropped() {
-	if p.metrics != nil {
-		p.metrics.FramesDropped.Inc()
-	}
 }
 
 // Flush blocks until every accepted frame has been scanned or dropped. It
@@ -531,19 +506,6 @@ func (p *Pipeline) Close() {
 		p.baseCancel()
 	})
 	<-p.done
-	// Retiring a wedged pipeline takes it off the obs wedged-pipelines
-	// gauge (the abandoned-scanner gauge stays up until the stuck
-	// goroutine itself unsticks and exits — that is the actual leak).
-	if p.wedged.Load() && p.metrics != nil {
-		p.wedgeRetire.Do(func() { p.metrics.WedgedPipelines.Add(-1) })
-	}
-	// Likewise a pipeline that closed while at an ROI rung leaves the
-	// ROI-active gauge. The run loop has exited here, so the scanner is
-	// idle (or abandoned and past its gauge updates) and the swap cannot
-	// race a transition.
-	if p.metrics != nil && p.roiEngaged.Swap(false) {
-		p.metrics.ROIActivePipelines.Add(-1)
-	}
 }
 
 // Closed reports whether Close has been called. Submit returns false and
@@ -575,7 +537,6 @@ func (p *Pipeline) run() {
 	// queue afterwards.
 	defer func() {
 		for p.stats.tryEvict(p.in) {
-			p.countDropped()
 		}
 	}()
 	// Closing scanIn lets the scanner goroutine exit: immediately when it
@@ -595,7 +556,6 @@ func (p *Pipeline) run() {
 			select {
 			case <-p.stop:
 				p.stats.dropDequeued()
-				p.countDropped()
 				return
 			default:
 			}
@@ -732,21 +692,13 @@ func (p *Pipeline) scanLoop() {
 // installs it (dense cadence frames clear the restriction); at a dense
 // rung it clears the restriction and forgets the schedule, so a later
 // re-engage starts with a full scan. It returns whether the frame will be
-// scanned restricted, and keeps the stats and obs mirrors of the schedule.
-// Runs on the scanner goroutine only; no-op without a scheduler.
+// scanned restricted, and counts the plan in the stats. Runs on the
+// scanner goroutine only; no-op without a scheduler.
 func (p *Pipeline) planROI(rung int, frame *imgproc.Gray) bool {
 	if p.sched == nil {
 		return false
 	}
-	atROI := p.rungs[rung].ROI
-	if p.metrics != nil && p.roiEngaged.Swap(atROI) != atROI {
-		if atROI {
-			p.metrics.ROIActivePipelines.Add(1)
-		} else {
-			p.metrics.ROIActivePipelines.Add(-1)
-		}
-	}
-	if !atROI {
+	if !p.rungs[rung].ROI {
 		p.roiPrev = false
 		p.regions.Clear()
 		return false
@@ -766,40 +718,20 @@ func (p *Pipeline) planROI(rung int, frame *imgproc.Gray) bool {
 		p.regions.Set(plan.Regions)
 	}
 	p.stats.observeROIPlan(plan)
-	if p.metrics != nil {
-		if plan.Full {
-			p.metrics.ROIFullScans.Inc()
-		} else {
-			p.metrics.ROIScans.Inc()
-			p.metrics.ROIRegions.Add(uint64(len(plan.Regions)))
-		}
-	}
 	return !plan.Full
 }
 
-// recordFrame mirrors one frame outcome into the obs registry: outcome
-// counters, frame/wait histograms, arena hit/miss deltas, controller
-// transition deltas, and a trace-ring entry carrying the per-stage
-// breakdown the rung detector accumulated for this frame. Runs on the scan
-// loop only; no-op when metrics are disabled.
+// recordFrame records one frame outcome in the obs registry: frame/wait
+// histograms, arena hit/miss deltas, and a trace-ring entry carrying the
+// per-stage breakdown the rung detector accumulated for this frame. Runs on
+// the scan loop only; no-op when metrics are disabled.
 func (p *Pipeline) recordFrame(r FrameResult, arenaGets0, arenaMisses0 uint64) {
 	m := p.metrics
 	if m == nil {
 		return
 	}
-	m.FramesOut.Inc()
 	m.Frame.Observe(r.Latency)
 	m.Wait.Observe(r.Wait)
-	if r.Missed {
-		m.DeadlineMisses.Inc()
-	}
-	if r.Err != nil {
-		m.Errors.Inc()
-		var pe *PanicError
-		if errors.As(r.Err, &pe) {
-			m.Panics.Inc()
-		}
-	}
 	// Frame-local deltas keep the obs counters additive when several
 	// pipelines share one registry (and possibly one arena); a shared
 	// arena's concurrent checkouts may be attributed to whichever frame
@@ -810,10 +742,6 @@ func (p *Pipeline) recordFrame(r FrameResult, arenaGets0, arenaMisses0 uint64) {
 	if frameGets > frameMisses {
 		m.ArenaHits.Add(frameGets - frameMisses)
 	}
-	_, deg, rec := p.ctrl.state()
-	m.Degrades.Add(deg - p.prevDeg)
-	m.Recovers.Add(rec - p.prevRec)
-	p.prevDeg, p.prevRec = deg, rec
 	tr := obs.FrameTrace{
 		Seq:       r.Seq,
 		Worker:    p.cfg.MetricsID,
@@ -830,23 +758,18 @@ func (p *Pipeline) recordFrame(r FrameResult, arenaGets0, arenaMisses0 uint64) {
 	m.Traces.Record(&tr)
 }
 
-// recordHung mirrors a watchdog-abandoned frame into the obs registry. The
-// hung frame counts as emitted (its ErrHung result is the pipeline's last),
-// its trace carries the Hung flag with a zero stage breakdown (a stuck scan
-// never reports where it is), and the wedge/abandonment gauges go up. The
-// scanner's own recordFrame never runs for this frame — the claim CAS
-// guarantees exactly one of the two accounts it — so the registry mirrors
-// stay additive. Runs on the run loop; no-op when metrics are disabled.
+// recordHung records a watchdog-abandoned frame in the obs registry. The
+// hung frame is observed like an emitted one (its ErrHung result is the
+// pipeline's last), its trace carries the Hung flag with a zero stage
+// breakdown (a stuck scan never reports where it is), and the abandoned-
+// scanner ledger goes up. The scanner's own recordFrame never runs for this
+// frame — the claim CAS guarantees exactly one of the two records it. Runs
+// on the run loop; no-op when metrics are disabled.
 func (p *Pipeline) recordHung(r FrameResult) {
 	m := p.metrics
 	if m == nil {
 		return
 	}
-	m.FramesOut.Inc()
-	m.Errors.Inc()
-	m.DeadlineMisses.Inc()
-	m.FramesHung.Inc()
-	m.WedgedPipelines.Add(1)
 	m.AbandonedScanners.Add(1)
 	m.Frame.Observe(r.Latency)
 	m.Wait.Observe(r.Wait)

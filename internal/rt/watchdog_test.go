@@ -108,12 +108,10 @@ func TestHangWatchdogWedgesPipeline(t *testing.T) {
 		t.Errorf("errors/panics = %d/%d, want 1/0", s.Errors, s.Panics)
 	}
 
-	// Obs mirrors: hung counter, wedged + abandoned gauges, trace flag.
-	if got := m.FramesHung.Load(); got != 1 {
-		t.Errorf("obs FramesHung = %d, want 1", got)
-	}
-	if got := m.WedgedPipelines.Load(); got != 1 {
-		t.Errorf("obs WedgedPipelines = %d, want 1 before Close", got)
+	// Obs registry: abandoned-scanner ledger, hung frame observed, trace
+	// flag.
+	if got := m.Frame.Snapshot().Count; got != s.FramesOut {
+		t.Errorf("frame histogram count %d, want FramesOut %d (the hung frame is observed)", got, s.FramesOut)
 	}
 	if got := m.AbandonedScanners.Load(); got != 1 {
 		t.Errorf("obs AbandonedScanners = %d, want 1 while the scanner is stuck", got)
@@ -131,16 +129,16 @@ func TestHangWatchdogWedgesPipeline(t *testing.T) {
 		t.Errorf("hung traces = %d, want 1", hungTraces)
 	}
 
-	// Close is prompt (the run loop already exited) and idempotent, and
-	// retires the wedged pipeline from the gauge.
+	// Close is prompt (the run loop already exited) and idempotent; the
+	// wedge is terminal, so Stats still reports it.
 	closeStart := time.Now()
 	p.Close()
 	p.Close()
 	if elapsed := time.Since(closeStart); elapsed > 5*time.Second {
 		t.Fatalf("Close on a wedged pipeline took %v", elapsed)
 	}
-	if got := m.WedgedPipelines.Load(); got != 0 {
-		t.Errorf("obs WedgedPipelines = %d after Close, want 0", got)
+	if !p.Stats().Wedged {
+		t.Error("Stats().Wedged = false after Close; the wedge is terminal")
 	}
 
 	// The abandoned goroutine unsticks when its wall-clock sleep ends,

@@ -120,10 +120,8 @@ func (c *Client) Retries() uint64 { return c.retries.Load() }
 // "deadline too tight to retry" without ever retrying. The configured
 // ceiling is the client owner's word against the server's.
 func (c *Client) backoff(n int, hint time.Duration) time.Duration {
-	d := backoffDelay(n, c.cfg.BackoffBase, c.cfg.BackoffMax)
-	half := d / 2
 	c.mu.Lock()
-	d = half + time.Duration(c.rng.Int63n(int64(half)+1))
+	d := jitter(c.rng, BackoffDelay(n, c.cfg.BackoffBase, c.cfg.BackoffMax))
 	c.mu.Unlock()
 	if hint > c.cfg.BackoffMax {
 		hint = c.cfg.BackoffMax

@@ -131,17 +131,31 @@ func TestMetricszEndToEnd(t *testing.T) {
 		t.Errorf("pd_http_failed_total = %v, want >= 1 (injected fault)", got)
 	}
 
-	// (b) obs frame counters agree with the supervisor aggregate. The
-	// aggregate only covers live pipelines (a restarted worker's counters
-	// reset) while the obs registry is cumulative, so require >=.
+	// (b) Frame counters are rendered from the supervisor aggregate that
+	// /statsz serves, so on an idle server every one matches it exactly.
 	agg := st.Supervisor.Aggregate
-	if got := mx("pd_frames_in_total"); got < float64(agg.FramesIn) {
-		t.Errorf("pd_frames_in_total = %v, aggregate says %d", got, agg.FramesIn)
+	for _, c := range []struct {
+		name string
+		v    uint64
+	}{
+		{"pd_frames_in_total", agg.FramesIn},
+		{"pd_frames_out_total", agg.FramesOut},
+		{"pd_frames_dropped_total", agg.FramesDropped},
+		{"pd_deadline_misses_total", agg.DeadlineMisses},
+		{"pd_frame_errors_total", agg.Errors},
+		{"pd_frame_panics_total", agg.Panics},
+		{"pd_frames_hung_total", agg.FramesHung},
+		{"pd_degrade_events_total", agg.DegradeEvents},
+		{"pd_recover_events_total", agg.RecoverEvents},
+		{"pd_roi_scans_total", agg.ROIScans},
+		{"pd_roi_full_scans_total", agg.ROIFullScans},
+		{"pd_roi_regions_total", agg.ROIRegions},
+	} {
+		if got := mx(c.name); got != float64(c.v) {
+			t.Errorf("%s = %v, aggregate says %d", c.name, got, c.v)
+		}
 	}
 	out := mx("pd_frames_out_total")
-	if out < float64(agg.FramesOut) {
-		t.Errorf("pd_frames_out_total = %v, aggregate says %d", out, agg.FramesOut)
-	}
 	if out < good {
 		t.Errorf("pd_frames_out_total = %v, want >= %d scanned frames", out, good)
 	}

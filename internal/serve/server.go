@@ -40,7 +40,8 @@ type ServerConfig struct {
 	// supervisor's pipelines record into (SupervisorConfig.Pipeline.Metrics)
 	// so stage histograms, frame traces, and HTTP-layer counters come out
 	// of one scrape. The server additionally records PGM decode time into
-	// its StageDecode histogram. nil serves the HTTP counters only.
+	// its StageDecode histogram. nil serves the frame, HTTP, breaker, and
+	// worker counters only.
 	Metrics *obs.Metrics
 }
 
@@ -104,11 +105,6 @@ type statszResponse struct {
 	// accepted, blocks evaluated, per-stage rejects); present only when the
 	// server carries a metrics registry and the cascade has seen traffic.
 	Cascade *obs.CascadeStats `json:"cascade,omitempty"`
-	// ROI reports the temporal scan scheduler's counters (restricted and
-	// cadence full scans, regions, pipelines at an ROI rung); present only
-	// when the server carries a metrics registry and the scheduler has
-	// planned at least one frame.
-	ROI *obs.ROIStats `json:"roi,omitempty"`
 }
 
 // Server is the HTTP front of a Supervisor.
@@ -128,9 +124,11 @@ type statszResponse struct {
 //	               pipeline (readiness — take it out of rotation).
 //	GET  /statsz   statszResponse JSON: server, breaker, supervisor stats.
 //	GET  /metricsz Prometheus text exposition: the obs registry (stage and
-//	               frame latency summaries, pipeline counters) when
-//	               ServerConfig.Metrics is set, plus HTTP admission,
-//	               breaker, and per-worker restart counters always.
+//	               frame latency summaries, arena and cascade counters)
+//	               when ServerConfig.Metrics is set, plus the frame and ROI
+//	               counters of the /statsz supervisor aggregate, HTTP
+//	               admission, breaker, and per-worker restart counters
+//	               always.
 //	GET  /tracez   tracezResponse JSON: the slowest frames retained by the
 //	               trace ring, slowest first (empty without Metrics).
 //
@@ -441,26 +439,39 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		if cs := m.CascadeSnapshot(); cs.Windows > 0 {
 			resp.Cascade = &cs
 		}
-		if rs := m.ROISnapshot(); rs.Scans+rs.FullScans > 0 {
-			resp.ROI = &rs
-		}
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleMetricsz renders the Prometheus text scrape: the shared obs
-// registry first (when configured), then the HTTP admission, breaker, and
-// supervisor counters, which exist regardless of the registry.
+// registry first (when configured), then the frame counters, HTTP
+// admission, breaker, and supervisor counters, which exist regardless of
+// the registry. Every frame counter is read from the supervisor aggregate
+// that /statsz serves, so the two endpoints cannot disagree.
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	if m := s.cfg.Metrics; m != nil {
 		m.WritePrometheus(w, "pd")
 	}
 	st := s.Stats()
+	sup := s.sup.Stats()
+	agg := sup.Aggregate
 	for _, c := range [...]struct {
 		name string
 		v    uint64
 	}{
+		{"pd_frames_in_total", agg.FramesIn},
+		{"pd_frames_out_total", agg.FramesOut},
+		{"pd_frames_dropped_total", agg.FramesDropped},
+		{"pd_deadline_misses_total", agg.DeadlineMisses},
+		{"pd_frame_errors_total", agg.Errors},
+		{"pd_frame_panics_total", agg.Panics},
+		{"pd_frames_hung_total", agg.FramesHung},
+		{"pd_degrade_events_total", agg.DegradeEvents},
+		{"pd_recover_events_total", agg.RecoverEvents},
+		{"pd_roi_scans_total", agg.ROIScans},
+		{"pd_roi_full_scans_total", agg.ROIFullScans},
+		{"pd_roi_regions_total", agg.ROIRegions},
 		{"pd_http_accepted_total", st.Accepted},
 		{"pd_http_shed_total", st.Shed},
 		{"pd_http_breaker_rejected_total", st.BreakerRejected},
@@ -483,7 +494,6 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 		open = 1
 	}
 	obs.WriteGaugeLine(w, "pd_breaker_open", "", open)
-	sup := s.sup.Stats()
 	fmt.Fprintf(w, "# TYPE pd_worker_restarts_total counter\n")
 	for _, ws := range sup.Workers {
 		obs.WriteCounterLine(w, "pd_worker_restarts_total", fmt.Sprintf("worker=%q", strconv.Itoa(ws.ID)), ws.Restarts)
@@ -495,7 +505,24 @@ func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "# TYPE pd_workers_running gauge\n")
 	obs.WriteGaugeLine(w, "pd_workers_running", "", float64(s.sup.Running()))
 	fmt.Fprintf(w, "# TYPE pd_frames_inflight gauge\n")
-	obs.WriteGaugeLine(w, "pd_frames_inflight", "", float64(sup.Aggregate.InFlight))
+	obs.WriteGaugeLine(w, "pd_frames_inflight", "", float64(agg.InFlight))
+	if agg.ROIScans > 0 {
+		fmt.Fprintf(w, "# TYPE pd_roi_mean_regions gauge\n")
+		obs.WriteGaugeLine(w, "pd_roi_mean_regions", "", float64(agg.ROIRegions)/float64(agg.ROIScans))
+	}
+	var wedged, roiActive int
+	for _, ws := range sup.Workers {
+		if ws.Pipeline.Wedged {
+			wedged++
+		}
+		if ws.Pipeline.ROIRung {
+			roiActive++
+		}
+	}
+	fmt.Fprintf(w, "# TYPE pd_wedged_pipelines gauge\n")
+	obs.WriteGaugeLine(w, "pd_wedged_pipelines", "", float64(wedged))
+	fmt.Fprintf(w, "# TYPE pd_roi_active_pipelines gauge\n")
+	obs.WriteGaugeLine(w, "pd_roi_active_pipelines", "", float64(roiActive))
 }
 
 // tracezResponse is the JSON body of GET /tracez.

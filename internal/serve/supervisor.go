@@ -151,8 +151,10 @@ type WorkerStatus struct {
 	// declared hung (rt.ErrHung, a result-silent timeout, or intake refused
 	// by a wedged pipeline) and torn down.
 	Wedges uint64 `json:"wedges"`
-	// Pipeline aggregates the rt.Stats of every incarnation of this
-	// worker's pipeline (restarts do not reset the counters).
+	// Pipeline is the live pipeline's rt.Stats with the cumulative counters
+	// of every retired incarnation added in (restarts do not reset them).
+	// The point-in-time fields (rung, ladder, wedged, deadline, in-flight)
+	// are the live pipeline's alone, and zero while restarting.
 	Pipeline rt.Stats `json:"pipeline"`
 }
 
@@ -162,8 +164,10 @@ type SupervisorStats struct {
 	Restarts uint64         `json:"restarts"`
 	// Wedges totals the hang escalations across workers.
 	Wedges uint64 `json:"wedges"`
-	// Aggregate folds every worker's pipeline counters together (sums for
-	// counters, max for worst-case latencies, frame-weighted means).
+	// Aggregate folds every worker's pipeline stats together (sums for
+	// counters and in-flight frames, max for worst-case latencies,
+	// frame-weighted means, the most degraded live rung, wedged if any
+	// live pipeline is).
 	Aggregate rt.Stats `json:"aggregate"`
 }
 
@@ -185,7 +189,7 @@ type Supervisor struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	pipes    []workerPipe // current pipeline per worker; nil while restarting
-	prior    []rt.Stats   // folded stats of retired pipelines
+	prior    []rt.Stats   // cumulative counters of retired pipelines
 	restarts []uint64     // restart events per worker
 	wedges   []uint64     // hang escalations per worker
 	consec   []int        // consecutive restarts (reset by a healthy frame)
@@ -342,12 +346,13 @@ func (s *Supervisor) installPipe(id int, p workerPipe) {
 	s.mu.Unlock()
 }
 
-// retirePipe closes a worker's pipeline and folds its final stats into the
-// worker's running total.
+// retirePipe closes a worker's pipeline and folds its final counters into
+// the worker's running total. Its point-in-time state stays behind: the
+// rebuilt pipeline is not wedged or degraded because this one was.
 func (s *Supervisor) retirePipe(id int, p workerPipe) {
 	p.Close()
 	s.mu.Lock()
-	s.prior[id] = mergeStats(s.prior[id], p.Stats())
+	s.prior[id] = addCounters(s.prior[id], p.Stats())
 	s.pipes[id] = nil
 	s.mu.Unlock()
 }
@@ -377,14 +382,14 @@ func (s *Supervisor) restartDelay(id int) time.Duration {
 	defer s.mu.Unlock()
 	s.restarts[id]++
 	s.consec[id]++
-	d := backoffDelay(s.consec[id], s.cfg.RestartBackoff, s.cfg.RestartBackoffMax)
-	half := d / 2
-	return half + time.Duration(s.rng.Int63n(int64(half)+1))
+	return jitter(s.rng, BackoffDelay(s.consec[id], s.cfg.RestartBackoff, s.cfg.RestartBackoffMax))
 }
 
-// backoffDelay is the un-jittered capped exponential backoff for the n-th
-// consecutive restart (n >= 1).
-func backoffDelay(n int, base, max time.Duration) time.Duration {
+// BackoffDelay is the un-jittered capped exponential backoff for the n-th
+// consecutive attempt (n >= 1; smaller n counts as 1): base * 2^(n-1),
+// capped at max without overflowing. The supervisor's restarts, the
+// client's retries, and the gateway's ejections all climb this ladder.
+func BackoffDelay(n int, base, max time.Duration) time.Duration {
 	if n < 1 {
 		n = 1
 	}
@@ -399,6 +404,13 @@ func backoffDelay(n int, base, max time.Duration) time.Duration {
 		return max
 	}
 	return d
+}
+
+// jitter draws a delay uniformly from [d/2, d], so a herd backing off
+// together does not come back in step. The caller owns rng's locking.
+func jitter(rng *rand.Rand, d time.Duration) time.Duration {
+	half := d / 2
+	return half + time.Duration(rng.Int63n(int64(half)+1))
 }
 
 // resultWait resolves the bounded wait for one frame's result from the
@@ -573,16 +585,13 @@ func (s *Supervisor) Stats() SupervisorStats {
 	defer s.mu.Unlock()
 	out := SupervisorStats{}
 	for i := range s.workers {
-		ws := WorkerStatus{ID: i, Restarts: s.restarts[i], Wedges: s.wedges[i], Pipeline: s.prior[i]}
-		switch p := s.pipes[i]; {
-		case p == nil:
-			ws.State = "restarting"
-		case p.Wedged():
-			ws.State = "wedged"
-			ws.Pipeline = mergeStats(ws.Pipeline, p.Stats())
-		default:
+		ws := WorkerStatus{ID: i, State: "restarting", Restarts: s.restarts[i], Wedges: s.wedges[i], Pipeline: s.prior[i]}
+		if p := s.pipes[i]; p != nil {
 			ws.State = "running"
-			ws.Pipeline = mergeStats(ws.Pipeline, p.Stats())
+			if p.Wedged() {
+				ws.State = "wedged"
+			}
+			ws.Pipeline = addCounters(p.Stats(), s.prior[i])
 		}
 		out.Workers = append(out.Workers, ws)
 		out.Restarts += s.restarts[i]
@@ -592,39 +601,24 @@ func (s *Supervisor) Stats() SupervisorStats {
 	return out
 }
 
-// mergeStats folds two pipeline snapshots: counters add, worst cases take
-// the max, averages re-weight by emitted frames, the wedged flag ORs (an
-// aggregate containing any wedged incarnation reports it), and the ladder
-// position reports the more degraded of the two (an aggregate is only as
-// healthy as its worst worker).
-func mergeStats(a, b rt.Stats) rt.Stats {
+// addCounters adds b's cumulative counters to a: frame counts add, worst
+// cases take the max, and the means re-weight by emitted frames. a's
+// point-in-time fields (rung, ladder, wedged, deadline, in-flight) are kept
+// as they are.
+func addCounters(a, b rt.Stats) rt.Stats {
 	out := a
 	out.FramesIn += b.FramesIn
 	out.FramesOut += b.FramesOut
 	out.FramesDropped += b.FramesDropped
-	out.InFlight += b.InFlight
 	out.DeadlineMisses += b.DeadlineMisses
 	out.Errors += b.Errors
 	out.Panics += b.Panics
 	out.FramesHung += b.FramesHung
-	out.Wedged = a.Wedged || b.Wedged
 	out.DegradeEvents += b.DegradeEvents
 	out.RecoverEvents += b.RecoverEvents
 	out.ROIScans += b.ROIScans
 	out.ROIFullScans += b.ROIFullScans
 	out.ROIRegions += b.ROIRegions
-	if b.Rung > out.Rung {
-		out.Rung = b.Rung
-		out.SkipFinest = b.SkipFinest
-		out.Workers = b.Workers
-		out.ROIRung = b.ROIRung
-	}
-	if b.Rungs > out.Rungs {
-		out.Rungs = b.Rungs
-	}
-	if b.Deadline > out.Deadline {
-		out.Deadline = b.Deadline
-	}
 	if b.MaxWait > out.MaxWait {
 		out.MaxWait = b.MaxWait
 	}
@@ -634,6 +628,27 @@ func mergeStats(a, b rt.Stats) rt.Stats {
 	if n := a.FramesOut + b.FramesOut; n > 0 {
 		out.AvgWait = (a.AvgWait*time.Duration(a.FramesOut) + b.AvgWait*time.Duration(b.FramesOut)) / time.Duration(n)
 		out.AvgLatency = (a.AvgLatency*time.Duration(a.FramesOut) + b.AvgLatency*time.Duration(b.FramesOut)) / time.Duration(n)
+	}
+	return out
+}
+
+// mergeStats folds two workers' snapshots: counters via addCounters,
+// in-flight frames add, the wedged flag ORs, and the ladder position
+// reports the more degraded live pipeline (an aggregate is only as healthy
+// as its worst worker). A restarting worker has no ladder (Rungs 0) and
+// contributes counters only.
+func mergeStats(a, b rt.Stats) rt.Stats {
+	out := addCounters(a, b)
+	out.InFlight += b.InFlight
+	out.Wedged = a.Wedged || b.Wedged
+	if b.Rungs > 0 && (a.Rungs == 0 || b.Rung > a.Rung) {
+		out.Rung, out.SkipFinest, out.Workers, out.ROIRung = b.Rung, b.SkipFinest, b.Workers, b.ROIRung
+	}
+	if b.Rungs > out.Rungs {
+		out.Rungs = b.Rungs
+	}
+	if b.Deadline > out.Deadline {
+		out.Deadline = b.Deadline
 	}
 	return out
 }

@@ -110,6 +110,9 @@ func TestHangEscalationRestartsWorker(t *testing.T) {
 	if st.Workers[0].State != "running" {
 		t.Errorf("worker 0 state %q after recovery, want running", st.Workers[0].State)
 	}
+	if st.Workers[0].Pipeline.Wedged {
+		t.Error("worker 0 pipeline reports wedged after recovery: the retired incarnation's state leaked")
+	}
 
 	sup.Close()
 	// Goroutine settling net of accounted leaks: the abandoned scanner is
@@ -124,8 +127,10 @@ func TestHangEscalationRestartsWorker(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	settleGoroutines(t, baseline)
-	if got := m.WedgedPipelines.Load(); got != 0 {
-		t.Errorf("obs WedgedPipelines = %d after Close, want 0 (wedged pipes retired)", got)
+	for _, ws := range sup.Stats().Workers {
+		if ws.Pipeline.Wedged {
+			t.Errorf("worker %d reports a wedged pipeline after Close, want none (wedged pipes retired)", ws.ID)
+		}
 	}
 }
 
@@ -275,6 +280,93 @@ func TestResultSilentPipeRestarts(t *testing.T) {
 	}
 	if builds.Load() < 2 {
 		t.Errorf("pipe builds = %d, want >= 2 (silent incarnation replaced)", builds.Load())
+	}
+}
+
+// statsPipe is a fakePipe that reports a scripted rt.Stats snapshot.
+type statsPipe struct {
+	*fakePipe
+	st rt.Stats
+}
+
+func (p statsPipe) Stats() rt.Stats { return p.st }
+
+// TestRestartedWorkerReportsLiveState: a worker rebuilt after a wedge
+// carries its dead incarnation's counters forward, but its state — wedged,
+// rung, operating point, deadline — is the live pipeline's alone, on
+// /statsz and on the /metricsz gauges counted from it.
+func TestRestartedWorkerReportsLiveState(t *testing.T) {
+	dead := rt.Stats{
+		FramesIn: 5, FramesOut: 5, DeadlineMisses: 2, Errors: 1, FramesHung: 1,
+		DegradeEvents: 3, ROIScans: 2, ROIFullScans: 1, ROIRegions: 4,
+		Wedged: true, Rung: 3, Rungs: 4, SkipFinest: 2, Workers: 1, ROIRung: true,
+		Deadline: time.Second, MaxLatency: 2 * time.Second, AvgLatency: time.Second,
+	}
+	live := rt.Stats{
+		FramesIn: 3, FramesOut: 3, Rungs: 4, Workers: 4,
+		Deadline: 50 * time.Millisecond, MaxLatency: time.Millisecond, AvgLatency: time.Millisecond,
+	}
+	var builds atomic.Int64
+	sup, err := newSupervisorWith(
+		func(int) (workerPipe, error) {
+			if builds.Add(1) == 1 {
+				return statsPipe{newFakePipe(false, true), dead}, nil
+			}
+			return statsPipe{newFakePipe(false, false), live}, nil
+		},
+		SupervisorConfig{Workers: 1, RestartBackoff: 10 * time.Millisecond, RestartBackoffMax: 50 * time.Millisecond},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	srv := NewServer(sup, ServerConfig{})
+	scrape := func() map[string]float64 {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metricsz", nil))
+		return parseExposition(t, rec.Body.String())
+	}
+
+	// The first incarnation is wedged and at an ROI rung until the worker
+	// notices on its first request.
+	if mm := scrape(); mm["pd_wedged_pipelines"] != 1 || mm["pd_roi_active_pipelines"] != 1 {
+		t.Errorf("before the restart: wedged %v, roi active %v; want 1, 1",
+			mm["pd_wedged_pipelines"], mm["pd_roi_active_pipelines"])
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		if _, err := sup.Do(context.Background(), 0, testFrame()); err == nil {
+			break
+		} else if !errors.Is(err, ErrWorkerRestarting) {
+			t.Fatalf("unexpected error during restart: %v", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("worker did not recover from the wedged incarnation")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	st := sup.Stats()
+	ws := st.Workers[0]
+	if ws.State != "running" || ws.Restarts != 1 {
+		t.Fatalf("worker state %q restarts %d, want running after 1 restart", ws.State, ws.Restarts)
+	}
+	want := live
+	want.FramesIn, want.FramesOut = 8, 8
+	want.DeadlineMisses, want.Errors, want.FramesHung, want.DegradeEvents = 2, 1, 1, 3
+	want.ROIScans, want.ROIFullScans, want.ROIRegions = 2, 1, 4
+	want.MaxLatency = 2 * time.Second
+	want.AvgLatency = (5*time.Second + 3*time.Millisecond) / 8
+	if ws.Pipeline != want {
+		t.Errorf("worker pipeline stats\n got %+v\nwant %+v", ws.Pipeline, want)
+	}
+	if st.Aggregate != want {
+		t.Errorf("aggregate\n got %+v\nwant %+v", st.Aggregate, want)
+	}
+	if mm := scrape(); mm["pd_wedged_pipelines"] != 0 || mm["pd_roi_active_pipelines"] != 0 || mm["pd_frames_in_total"] != 8 {
+		t.Errorf("after recovery: wedged %v, roi active %v, frames in %v; want 0, 0, 8",
+			mm["pd_wedged_pipelines"], mm["pd_roi_active_pipelines"], mm["pd_frames_in_total"])
 	}
 }
 

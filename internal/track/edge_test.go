@@ -153,3 +153,30 @@ func TestTrackTieBreakLastWins(t *testing.T) {
 		}
 	}
 }
+
+// TestDeletedTracksLeaveTheTracker drives the churn of a long stream: one
+// fresh detection per frame that never reappears, so every frame births a
+// track and, once the pipe is full, deletes one. The tracker must store
+// only its live tracks — keeping the deleted ones would grow memory and
+// Update's cost with every birth.
+func TestDeletedTracksLeaveTheTracker(t *testing.T) {
+	cfg := DefaultConfig()
+	tk := New(cfg)
+	for f := 0; f < 2000; f++ {
+		// Eight columns 200 px apart: a detection never overlaps a track
+		// born in the last MaxMisses frames.
+		tk.Update([]eval.Detection{det((f%8)*200, 0, 1)})
+	}
+	live := 0
+	for _, tr := range tk.tracks {
+		if tr.State != Deleted {
+			live++
+		}
+	}
+	if len(tk.tracks) != live {
+		t.Fatalf("tracker stores %d tracks, %d of them live", len(tk.tracks), live)
+	}
+	if want := cfg.MaxMisses + 1; live != want {
+		t.Fatalf("%d live tracks, want %d (one birth per frame, each coasting %d frames)", live, want, cfg.MaxMisses)
+	}
+}

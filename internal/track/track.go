@@ -49,7 +49,8 @@ const (
 	Tentative State = iota
 	// Confirmed tracks have accumulated ConfirmHits associations.
 	Confirmed
-	// Deleted tracks exceeded MaxMisses and are kept only for bookkeeping.
+	// Deleted tracks exceeded MaxMisses and have left the tracker; only a
+	// caller still holding one sees this state.
 	Deleted
 )
 
@@ -86,7 +87,7 @@ type Tracker struct {
 	cfg    Config
 	nextID int
 	frame  int
-	tracks []*Track
+	tracks []*Track // live tracks in birth order; Update drops the deleted
 }
 
 // New returns an empty tracker. It panics on an invalid configuration (a
@@ -100,13 +101,7 @@ func New(cfg Config) *Tracker {
 
 // Tracks returns the live (non-deleted) tracks.
 func (t *Tracker) Tracks() []*Track {
-	var out []*Track
-	for _, tr := range t.tracks {
-		if tr.State != Deleted {
-			out = append(out, tr)
-		}
-	}
-	return out
+	return append([]*Track(nil), t.tracks...)
 }
 
 // Confirmed returns only the confirmed tracks — what a DAS would act on.
@@ -130,9 +125,7 @@ func (t *Tracker) Frame() int { return t.frame }
 // (dst[:0]) and stay off the heap.
 func (t *Tracker) AppendLiveBoxes(dst []geom.Rect) []geom.Rect {
 	for _, tr := range t.tracks {
-		if tr.State != Deleted {
-			dst = append(dst, tr.Box)
-		}
+		dst = append(dst, tr.Box)
 	}
 	return dst
 }
@@ -143,9 +136,6 @@ func (t *Tracker) AppendLiveBoxes(dst []geom.Rect) []geom.Rect {
 func (t *Tracker) Update(dets []eval.Detection) {
 	// Predict: move each live track by its velocity.
 	for _, tr := range t.tracks {
-		if tr.State == Deleted {
-			continue
-		}
 		tr.Box = tr.Box.Translate(geom.Pt{X: int(tr.velX), Y: int(tr.velY)})
 	}
 	order := make([]int, len(dets))
@@ -168,7 +158,7 @@ func (t *Tracker) Update(dets []eval.Detection) {
 		best := t.cfg.MatchIoU
 		var bestTrack *Track
 		for _, tr := range t.tracks {
-			if tr.State == Deleted || matched[tr] {
+			if matched[tr] {
 				continue
 			}
 			if iou := geom.IoU(dets[di].Box, tr.Box); iou >= best {
@@ -194,16 +184,22 @@ func (t *Tracker) Update(dets []eval.Detection) {
 		matched[bestTrack] = true
 		usedDet[di] = true
 	}
-	// Unmatched tracks coast or die.
+	// Unmatched tracks coast or die. The dead leave the set in place, so
+	// the live tracks keep their birth order (association ties go to the
+	// last-iterated track) and a long stream's churn costs no memory.
+	live := t.tracks[:0]
 	for _, tr := range t.tracks {
-		if tr.State == Deleted || matched[tr] {
-			continue
+		if !matched[tr] {
+			tr.Miss++
+			if tr.Miss > t.cfg.MaxMisses {
+				tr.State = Deleted
+				continue
+			}
 		}
-		tr.Miss++
-		if tr.Miss > t.cfg.MaxMisses {
-			tr.State = Deleted
-		}
+		live = append(live, tr)
 	}
+	clear(t.tracks[len(live):])
+	t.tracks = live
 	// Unmatched detections start tentative tracks.
 	for di, used := range usedDet {
 		if used {
