@@ -623,8 +623,9 @@ func BenchmarkDetectROI(b *testing.B) {
 	}
 }
 
-// BenchmarkScoreWindow compares the zero-copy strided window scorer against
-// the copy-then-dot path it replaced on one 4608-dim window.
+// BenchmarkScoreWindow compares the zero-copy strided window scorer and the
+// eight-window span scorer against the copy-then-dot path they replaced on
+// 4608-dim windows.
 func BenchmarkScoreWindow(b *testing.B) {
 	img := imgproc.NewGray(640, 480)
 	rng := rand.New(rand.NewSource(15))
@@ -645,6 +646,21 @@ func BenchmarkScoreWindow(b *testing.B) {
 			if _, ok := fm.ScoreWindow(m.W, i%(fm.BlocksX-8), i%(fm.BlocksY-16), 8, 16); !ok {
 				b.Fatal("window rejected")
 			}
+		}
+	})
+	// span scores whole level rows (73 anchors on this 640-wide map) with
+	// ScoreSpan; one op is one window, so ns/op reads as ns per window
+	// next to zero-copy.
+	b.Run("span", func(b *testing.B) {
+		nx, rows := fm.BlocksX-8+1, fm.BlocksY-16+1
+		dst := make([]float64, nx)
+		b.ReportAllocs()
+		for done, by := 0, 0; done < b.N; by = (by + 1) % rows {
+			n := min(nx, b.N-done)
+			if !fm.ScoreSpan(m.W, 0, by, 8, 16, dst[:n]) {
+				b.Fatal("span rejected")
+			}
+			done += n
 		}
 	})
 	b.Run("copy-dot", func(b *testing.B) {

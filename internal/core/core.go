@@ -592,7 +592,9 @@ func firstError(errs []error) error {
 // l.sx and l.sy map level pixel coordinates back to frame pixels per axis.
 // Cancellation is checked once per window row, so an expired ctx stops a
 // scan within one row; the caller discards partial output on error, keeping
-// results deterministic.
+// results deterministic. The dense kernel scores each span row with
+// hog.FeatureMap.ScoreSpan in chunks of a stack buffer, so adjacent windows
+// share weight loads and no chunk allocates.
 //
 // With a cascade plan the staged kernel replaces the dense one. Exact mode
 // needs the level's block-norm bound; a level without one (l.normCap == 0)
@@ -627,6 +629,7 @@ func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int
 		plan = nil // no norm bound: exact pruning impossible, scan dense
 	}
 	if plan == nil {
+		var scoreBuf [64]float64
 		for by := row0; by < row1; by++ {
 			if err := ctx.Err(); err != nil {
 				return out, err
@@ -636,18 +639,20 @@ func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int
 				if by < sp.by0 || by >= sp.by1 {
 					continue
 				}
-				for bx := sp.bx0; bx < sp.bx1; bx++ {
-					score, ok := fm.ScoreWindow(w, bx, by, wbx, wby)
-					if !ok {
+				for bx0 := sp.bx0; bx0 < sp.bx1; bx0 += len(scoreBuf) {
+					scores := scoreBuf[:min(len(scoreBuf), sp.bx1-bx0)]
+					if !fm.ScoreSpan(w, bx0, by, wbx, wby, scores) {
 						continue
 					}
-					score += d.model.B
-					if score <= d.cfg.Threshold {
-						continue
+					for i, score := range scores {
+						score += d.model.B
+						if score <= d.cfg.Threshold {
+							continue
+						}
+						// Window anchor in level pixels, then back to frame pixels.
+						box := geom.XYWH((bx0+i)*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(sx, sy)
+						out = append(out, eval.Detection{Box: box, Score: score})
 					}
-					// Window anchor in level pixels, then back to frame pixels.
-					box := geom.XYWH(bx*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(sx, sy)
-					out = append(out, eval.Detection{Box: box, Score: score})
 				}
 			}
 		}

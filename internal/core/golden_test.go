@@ -13,6 +13,8 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/geom"
+	"repro/internal/hog"
+	"repro/internal/svm"
 )
 
 // -update regenerates the committed golden detections. Run it after an
@@ -134,18 +136,42 @@ func writeGolden(t *testing.T, got map[string][]eval.Detection) {
 // committed expectations bit for bit, and must stay bit-identical when the
 // scan is sharded across workers or routed through the exact cascade. Any
 // numerics change — feature extraction, scoring order, NMS — shows up here
-// as a concrete detection diff.
+// as a concrete detection diff. The whole check runs twice, on the default
+// dense-scan kernel and with hog's vector span kernel off, so both scan
+// paths are pinned to the same committed bits.
 func TestGoldenDetections(t *testing.T) {
 	det, _ := testDetector(t)
 	seq := goldenSequence(t)
 
-	baseCfg := DefaultConfig()
+	got := goldenDetections(t, det.Model(), seq)
+	if *updateGolden {
+		writeGolden(t, got)
+		return
+	}
+	want := readGolden(t)
+	if len(want) == 0 {
+		t.Fatalf("golden fixture %s is empty (regenerate with -update)", goldenPath)
+	}
+	kernel := "scalar span kernel"
+	if hog.SpanKernel() {
+		kernel = "vector span kernel"
+	}
+	checkGolden(t, kernel, got, want, len(seq.Frames))
+
+	defer hog.SetSpanKernel(hog.SetSpanKernel(false))
+	checkGolden(t, "scalar span kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
+}
+
+// goldenDetections runs every golden mode over the clip, checking on the
+// way that worker count and the exact cascade change no detection.
+func goldenDetections(t *testing.T, model *svm.Model, seq *dataset.Sequence) map[string][]eval.Detection {
+	t.Helper()
 	detect := func(mode PyramidMode, workers int, cascade CascadeMode) [][]eval.Detection {
-		cfg := baseCfg
+		cfg := DefaultConfig()
 		cfg.Mode = mode
 		cfg.Workers = workers
 		cfg.Cascade = cascade
-		d, err := NewDetector(det.Model(), cfg)
+		d, err := NewDetector(model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,18 +184,6 @@ func TestGoldenDetections(t *testing.T) {
 			out[f] = dets
 		}
 		return out
-	}
-
-	sameDets := func(a, b []eval.Detection) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-		return true
 	}
 
 	got := make(map[string][]eval.Detection)
@@ -203,21 +217,18 @@ func TestGoldenDetections(t *testing.T) {
 			}
 		}
 	}
+	return got
+}
 
-	if *updateGolden {
-		writeGolden(t, got)
-		return
-	}
-	want := readGolden(t)
-	if len(want) == 0 {
-		t.Fatalf("golden fixture %s is empty (regenerate with -update)", goldenPath)
-	}
+// checkGolden compares one run's detections with the committed fixture.
+func checkGolden(t *testing.T, path string, got, want map[string][]eval.Detection, frames int) {
+	t.Helper()
 	for _, mode := range goldenModes {
-		for f := range seq.Frames {
+		for f := 0; f < frames; f++ {
 			key := goldenKey(mode, f)
 			if !sameDets(got[key], want[key]) {
-				t.Errorf("%s: detections diverged from the committed fixture\n got: %v\nwant: %v\n(intentional numerics change? rerun with -update and review the diff)",
-					key, got[key], want[key])
+				t.Errorf("%s (%s): detections diverged from the committed fixture\n got: %v\nwant: %v\n(intentional numerics change? rerun with -update and review the diff)",
+					key, path, got[key], want[key])
 			}
 		}
 	}
@@ -227,4 +238,16 @@ func TestGoldenDetections(t *testing.T) {
 			t.Errorf("golden fixture has stale key %q (regenerate with -update)", key)
 		}
 	}
+}
+
+func sameDets(a, b []eval.Detection) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/eval"
 	"repro/internal/geom"
@@ -36,7 +36,16 @@ func NMS(dets []eval.Detection, iouThresh float64) []eval.Detection {
 }
 
 // sortByScore orders detections by descending score (stable so equal-score
-// detections keep raster order, which keeps runs deterministic).
+// detections keep raster order, which keeps runs deterministic). The
+// generic sort allocates nothing, unlike sort.SliceStable's reflect swapper.
 func sortByScore(dets []eval.Detection) {
-	sort.SliceStable(dets, func(i, j int) bool { return dets[i].Score > dets[j].Score })
+	slices.SortStableFunc(dets, func(a, b eval.Detection) int {
+		switch {
+		case a.Score > b.Score:
+			return -1
+		case a.Score < b.Score:
+			return 1
+		}
+		return 0
+	})
 }

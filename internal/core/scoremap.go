@@ -140,9 +140,10 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 					if by < sp.by0 || by >= sp.by1 {
 						continue
 					}
-					for bx := sp.bx0; bx < sp.bx1; bx++ {
-						score, _ := fm.ScoreWindow(w, bx, by, wbx, wby)
-						sm.Scores[by*sm.W+bx] = score + d.model.B
+					row := sm.Scores[by*sm.W+sp.bx0 : by*sm.W+sp.bx1]
+					fm.ScoreSpan(w, sp.bx0, by, wbx, wby, row)
+					for i := range row {
+						row[i] += d.model.B
 					}
 				}
 			}

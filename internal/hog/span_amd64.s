@@ -1,0 +1,108 @@
+#include "textflag.h"
+
+// func cpuHasAVX2() bool
+TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7
+	JB   no
+
+	// Leaf 1: ECX bit 27 (OSXSAVE) and bit 28 (AVX).
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX
+	CMPL CX, $0x18000000
+	JNE  no
+
+	// XCR0 bits 1 and 2: the OS saves XMM and YMM state.
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  no
+
+	// Leaf 7, subleaf 0: EBX bit 5 (AVX2).
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x20, BX
+	JZ   no
+	MOVB $1, ret+0(FP)
+	RET
+
+no:
+	MOVB $0, ret+0(FP)
+	RET
+
+// func dotRows8(w, f *float64, n, stride int, lanes *[32]float64)
+//
+// Y0..Y7 accumulate windows 0..7; lane j of Yk is dotRow's s_j for window
+// k. Each step loads four weights once (Y8) and multiplies them against the
+// same four positions of all eight windows, rounding the product (VMULPD)
+// before adding it (VADDPD), exactly as dotRow's s_j += a[i+j]*b[i+j].
+// X15 is left untouched.
+TEXT ·dotRows8(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ f+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ stride+24(FP), BX
+	SHLQ $3, CX
+	SHLQ $3, BX
+
+	// Row starts of windows 1..7.
+	LEAQ (SI)(BX*1), DX
+	LEAQ (SI)(BX*2), R8
+	LEAQ (DX)(BX*2), R9
+	LEAQ (SI)(BX*4), R10
+	LEAQ (DX)(BX*4), R11
+	LEAQ (R8)(BX*4), R12
+	LEAQ (R9)(BX*4), R13
+
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+
+	XORQ  AX, AX
+	TESTQ CX, CX
+	JZ    done
+
+loop:
+	VMOVUPD (DI)(AX*1), Y8
+	VMULPD  (SI)(AX*1), Y8, Y9
+	VADDPD  Y9, Y0, Y0
+	VMULPD  (DX)(AX*1), Y8, Y10
+	VADDPD  Y10, Y1, Y1
+	VMULPD  (R8)(AX*1), Y8, Y11
+	VADDPD  Y11, Y2, Y2
+	VMULPD  (R9)(AX*1), Y8, Y12
+	VADDPD  Y12, Y3, Y3
+	VMULPD  (R10)(AX*1), Y8, Y13
+	VADDPD  Y13, Y4, Y4
+	VMULPD  (R11)(AX*1), Y8, Y14
+	VADDPD  Y14, Y5, Y5
+	VMULPD  (R12)(AX*1), Y8, Y9
+	VADDPD  Y9, Y6, Y6
+	VMULPD  (R13)(AX*1), Y8, Y10
+	VADDPD  Y10, Y7, Y7
+	ADDQ    $32, AX
+	CMPQ    AX, CX
+	JB      loop
+
+done:
+	MOVQ    lanes+32(FP), AX
+	VMOVUPD Y0, 0(AX)
+	VMOVUPD Y1, 32(AX)
+	VMOVUPD Y2, 64(AX)
+	VMOVUPD Y3, 96(AX)
+	VMOVUPD Y4, 128(AX)
+	VMOVUPD Y5, 160(AX)
+	VMOVUPD Y6, 192(AX)
+	VMOVUPD Y7, 224(AX)
+	VZEROUPPER
+	RET

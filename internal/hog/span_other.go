@@ -1,0 +1,11 @@
+//go:build !amd64
+
+package hog
+
+// haveSpanKernel is false off amd64: ScoreSpan scores every window with
+// ScoreWindow.
+const haveSpanKernel = false
+
+func dotRows8(w, f *float64, n, stride int, lanes *[32]float64) {
+	panic("hog: dotRows8 without the vector kernel")
+}
