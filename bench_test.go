@@ -811,10 +811,10 @@ func BenchmarkServeRoundTrip(b *testing.B) {
 
 // cascadeBenchModel builds the concentrated-mass synthetic model the
 // cascade benches scan with: per-row amplitude A*rho^r, so the few
-// heaviest block rows carry most of the weight mass — the shape a trained
-// soft-cascade SVM has, and the shape that lets the Cauchy-Schwarz bound
-// bite early. Random i.i.d. weights are a worst case on purpose kept in
-// BenchmarkDetectParallel; this model is the best-case counterpart.
+// heaviest block rows carry most of the weight mass. Trained models do not
+// have this shape; it is the cascade's best case, kept so the benches stay
+// comparable across reports. Random i.i.d. weights are a worst case on
+// purpose kept in BenchmarkDetectParallel.
 func cascadeBenchModel(cfg core.Config, seed int64) *svm.Model {
 	cx, cy := cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH)
 	wbx, wby := cfg.HOG.WindowBlocks(cx, cy)
@@ -862,13 +862,11 @@ func calibrateCascadeModel(model *svm.Model, cfg core.Config) error {
 	return nil
 }
 
-// BenchmarkDetectCascade measures the tentpole of ISSUE 9 on the workload
+// BenchmarkDetectCascade measures the calibrated cascade on the workload
 // it targets: full multi-scale scans of clutter-only (negative) VGA frames
-// at workers=1, dense versus exact cascade versus calibrated cascade, with
-// a concentrated-mass model and a positive decision threshold. The exact
-// mode must return bit-identical detections (asserted in core's tests);
-// here the quantity of interest is ns/op and the mean blocks evaluated per
-// window.
+// at workers=1, dense versus calibrated cascade, with a concentrated-mass
+// model and a positive decision threshold. The quantities of interest are
+// ns/op and the mean blocks evaluated per window.
 func BenchmarkDetectCascade(b *testing.B) {
 	base := core.DefaultConfig()
 	base.Mode = core.FeaturePyramid
@@ -888,7 +886,6 @@ func BenchmarkDetectCascade(b *testing.B) {
 		mode core.CascadeMode
 	}{
 		{"dense", core.CascadeOff},
-		{"exact", core.CascadeExact},
 		{"calibrated", core.CascadeCalibrated},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -917,11 +914,13 @@ func BenchmarkDetectCascade(b *testing.B) {
 
 // BenchmarkScoreWindowStaged isolates the staged kernel against the dense
 // scorer on single windows of a real feature map with the concentrated
-// model, at a threshold that lets the bound reject early.
+// model and its calibrated floors.
 func BenchmarkScoreWindowStaged(b *testing.B) {
 	cfg := core.DefaultConfig()
-	cfg.Threshold = 0.5
 	model := cascadeBenchModel(cfg, 49)
+	if err := calibrateCascadeModel(model, cfg); err != nil {
+		b.Fatal(err)
+	}
 	img := imgproc.NewGray(640, 480)
 	rng := rand.New(rand.NewSource(50))
 	for i := range img.Pix {
@@ -937,8 +936,10 @@ func BenchmarkScoreWindowStaged(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	plan := &hog.StagePlan{Order: casc.Order, Suffix: casc.Suffix, Slack: casc.Slack}
-	thr := cfg.Threshold - model.B
+	if err := casc.AttachCalibration(model.Calib); err != nil {
+		b.Fatal(err)
+	}
+	plan := &hog.StagePlan{Order: casc.Order, Calib: casc.Calib}
 	b.Run("dense", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -947,13 +948,13 @@ func BenchmarkScoreWindowStaged(b *testing.B) {
 			}
 		}
 	})
-	b.Run("staged-exact", func(b *testing.B) {
+	b.Run("staged-calibrated", func(b *testing.B) {
 		rowDots := make([]float64, wby)
 		b.ReportAllocs()
 		var rows int
 		for i := 0; i < b.N; i++ {
 			_, rowsEval, _, ok := fm.ScoreWindowStaged(model.W,
-				i%(fm.BlocksX-wbx), i%(fm.BlocksY-wby), wbx, wby, plan, thr, 1, rowDots)
+				i%(fm.BlocksX-wbx), i%(fm.BlocksY-wby), wbx, wby, plan, rowDots)
 			if !ok {
 				b.Fatal("window rejected")
 			}

@@ -39,7 +39,6 @@ func main() {
 		threshold  = flag.Float64("threshold", 0, "SVM decision threshold")
 		nms        = flag.Float64("nms", 0.3, "NMS IoU (<= 0 disables)")
 		workers    = flag.Int("workers", 0, "scan worker goroutines (0 = GOMAXPROCS, 1 = serial)")
-		cascade    = flag.Bool("cascade", false, "staged early-rejection scoring, exact mode (bit-identical detections, faster)")
 		cascadeCal = flag.Bool("cascade-calibrated", false, "staged scoring with calibrated per-stage floors (needs a model trained with pdtrain -cascade-calibrate)")
 		annotate   = flag.String("annotate", "", "write an annotated PPM here")
 		stream     = flag.Int("stream", 0, "feed the frame N times through the streaming runtime")
@@ -68,11 +67,8 @@ func main() {
 	cfg.Threshold = *threshold
 	cfg.NMSOverlap = *nms
 	cfg.Workers = *workers
-	switch {
-	case *cascadeCal:
+	if *cascadeCal {
 		cfg.Cascade = core.CascadeCalibrated
-	case *cascade:
-		cfg.Cascade = core.CascadeExact
 	}
 	octave := false
 	switch *mode {

@@ -44,7 +44,6 @@ func main() {
 		threshold = flag.Float64("threshold", 0, "SVM decision threshold")
 		nms       = flag.Float64("nms", 0.3, "NMS IoU (<= 0 disables)")
 
-		cascade    = flag.Bool("cascade", false, "staged early-rejection scoring, exact mode (bit-identical detections, faster)")
 		cascadeCal = flag.Bool("cascade-calibrated", false, "staged scoring with calibrated per-stage floors (needs a model trained with pdtrain -cascade-calibrate)")
 
 		workers = flag.Int("workers", 1, "supervised worker pipelines (streams pin by ID modulo this)")
@@ -77,11 +76,8 @@ func main() {
 	cfg.ScaleStep = *step
 	cfg.Threshold = *threshold
 	cfg.NMSOverlap = *nms
-	switch {
-	case *cascadeCal:
+	if *cascadeCal {
 		cfg.Cascade = core.CascadeCalibrated
-	case *cascade:
-		cfg.Cascade = core.CascadeExact
 	}
 	switch *mode {
 	case "image":

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/featpyr"
 	"repro/internal/hog"
 	"repro/internal/obs"
 	"repro/internal/svm"
@@ -15,15 +14,10 @@ type CascadeMode int
 const (
 	// CascadeOff scans every window dense (the pre-cascade behaviour).
 	CascadeOff CascadeMode = iota
-	// CascadeExact evaluates windows stage by stage and rejects on the
-	// Cauchy-Schwarz bound: detections (boxes and scores) are bit-identical
-	// to CascadeOff at every worker count, only faster. Levels without a
-	// block-norm bound (octave scans, lambda-scaled float pyramids) fall
-	// back to the dense scan automatically.
-	CascadeExact
-	// CascadeCalibrated additionally rejects below per-stage floors fitted
-	// on training positives (soft cascade, pdtrain -cascade-calibrate):
-	// faster than exact with a measured, reported miss bound. Requires a
+	// CascadeCalibrated evaluates windows stage by stage and rejects below
+	// per-stage floors fitted on training positives (soft cascade, pdtrain
+	// -cascade-calibrate): lossy, with a measured, reported miss bound.
+	// Accepted windows score bit-identically to CascadeOff. Requires a
 	// model carrying a calibration with one floor per window block row.
 	CascadeCalibrated
 )
@@ -33,8 +27,6 @@ func (m CascadeMode) String() string {
 	switch m {
 	case CascadeOff:
 		return "off"
-	case CascadeExact:
-		return "exact"
 	case CascadeCalibrated:
 		return "calibrated"
 	}
@@ -45,69 +37,25 @@ func (m CascadeMode) String() string {
 // model and window geometry, validating the mode's requirements. Returns
 // nil for CascadeOff.
 func buildStagePlan(model *svm.Model, cfg Config) (*hog.StagePlan, error) {
-	if cfg.Cascade == CascadeOff {
+	switch cfg.Cascade {
+	case CascadeOff:
 		return nil, nil
+	case CascadeCalibrated:
+	default:
+		return nil, fmt.Errorf("core: unknown cascade mode %v", cfg.Cascade)
+	}
+	if model.Calib == nil {
+		return nil, fmt.Errorf("core: calibrated cascade needs a model with a cascade calibration (pdtrain -cascade-calibrate)")
 	}
 	wbx, wby := cfg.windowBlocks()
 	casc, err := svm.NewCascade(model, wbx, wby, cfg.HOG.BlockLen())
 	if err != nil {
 		return nil, err
 	}
-	plan := &hog.StagePlan{
-		Order:  casc.Order,
-		Suffix: casc.Suffix,
-		Slack:  casc.Slack,
+	if err := casc.AttachCalibration(model.Calib); err != nil {
+		return nil, err
 	}
-	switch cfg.Cascade {
-	case CascadeExact:
-	case CascadeCalibrated:
-		if model.Calib == nil {
-			return nil, fmt.Errorf("core: calibrated cascade needs a model with a cascade calibration (pdtrain -cascade-calibrate)")
-		}
-		if err := casc.AttachCalibration(model.Calib); err != nil {
-			return nil, err
-		}
-		plan.Calib = casc.Calib
-	default:
-		return nil, fmt.Errorf("core: unknown cascade mode %v", cfg.Cascade)
-	}
-	return plan, nil
-}
-
-// levelNormCap returns the upper bound on the L2 norm of any block vector
-// of a pyramid level, the scale factor of the cascade's Cauchy-Schwarz
-// suffix bounds. A return of 0 means "no bound available": exact mode
-// scans such levels dense (calibrated floors still apply, they do not
-// depend on the bound).
-//
-//   - Image-pyramid levels are directly normalized maps: every scheme
-//     (L2, L2-Hys, L1-sqrt) yields block norm < 1, so the cap is 1.
-//   - Float feature-pyramid levels (direct or chained) are convex bilinear
-//     or nearest-neighbour combinations of normalized blocks, which cannot
-//     exceed the largest input norm: cap 1. Renormalize restores norms
-//     < 1 explicitly. A non-zero Lambda without renormalization multiplies
-//     features by s^-Lambda, which exceeds 1 for Lambda < 0 and compounds
-//     per chained level — no cheap tight bound, so no cap (0).
-//   - Fixed-point levels compound quantized-weight excess and rounding per
-//     chained scale; the scaler knows its own error model
-//     (FixedScaler.BlockNormCap).
-func (d *Detector) levelNormCap(levelIndex int) float64 {
-	switch d.cfg.Mode {
-	case ImagePyramid:
-		return 1
-	case FeaturePyramid, FeaturePyramidChained:
-		if d.cfg.Scale.Lambda != 0 && !d.cfg.Scale.Renormalize {
-			return 0
-		}
-		return 1
-	case FeaturePyramidFixed:
-		scaler := d.cfg.Fixed
-		if scaler == nil {
-			scaler = featpyr.NewFixedScaler()
-		}
-		return scaler.BlockNormCap(levelIndex, d.cfg.HOG.BlockLen())
-	}
-	return 0
+	return &hog.StagePlan{Order: casc.Order, Calib: casc.Calib}, nil
 }
 
 // cascadeTally is the per-shard cascade counter scratch: the scan loop

@@ -46,128 +46,46 @@ func sameDetections(t *testing.T, label string, want, got []eval.Detection) {
 	}
 }
 
-// TestCascadeExactBitIdentical is the end-to-end losslessness contract of
-// ISSUE 9: with the exact cascade enabled, DetectRaw returns byte-identical
-// detections (boxes and score bits) to the dense scan in every pyramid mode
-// and at every worker count, on both a pedestrian scene and pure clutter.
-func TestCascadeExactBitIdentical(t *testing.T) {
-	det, g := testDetector(t)
-	model := det.Model()
-
-	ped, _ := sceneWithPedestrian(g, 320, 240, 128)
-	clutter := g.Render(g.NewSpec(false), 320, 240)
-	frames := []struct {
-		name  string
-		frame *imgproc.Gray
-	}{{"pedestrian", ped}, {"clutter", clutter}}
-
-	sawDetections := false
-	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed} {
-		dense := cascadeDetector(t, model, mode, CascadeOff, 1)
-		for _, fr := range frames {
-			want, err := dense.DetectRaw(fr.frame)
-			if err != nil {
-				t.Fatalf("%v/%s dense: %v", mode, fr.name, err)
-			}
-			if len(want) > 0 {
-				sawDetections = true
-			}
-			for _, workers := range []int{1, 3} {
-				exact := cascadeDetector(t, model, mode, CascadeExact, workers)
-				got, err := exact.DetectRaw(fr.frame)
-				if err != nil {
-					t.Fatalf("%v/%s exact w=%d: %v", mode, fr.name, workers, err)
-				}
-				sameDetections(t, mode.String()+"/"+fr.name, want, got)
-			}
-		}
+// withFloors returns a copy of model carrying a cascade calibration whose
+// every stage floor is floor. -math.MaxFloat64 never rejects, so the
+// calibrated scan must reproduce the dense scan bit for bit (the staged
+// kernel's oracle); +math.MaxFloat64 rejects every window at stage one.
+func withFloors(model *svm.Model, cfg Config, floor float64) *svm.Model {
+	_, wby := cfg.windowBlocks()
+	out := model.Clone()
+	out.Calib = &svm.CascadeCalib{Stages: wby, Thresholds: make([]float64, wby)}
+	for i := range out.Calib.Thresholds {
+		out.Calib.Thresholds[i] = floor
 	}
-	// The equivalence must not be vacuous: at least one frame/mode pair has
-	// to produce detections for the bit-compare to mean anything.
-	if !sawDetections {
-		t.Fatal("no mode detected anything; the differential test is vacuous")
-	}
+	return out
 }
 
-// concentratedModel builds a synthetic model whose weight mass decays
-// geometrically across window block rows (amplitude A*rho^r). Real pruning
-// needs such concentration — an i.i.d.-weight model has a Cauchy-Schwarz
-// bound far above any achievable score — and a soft-cascade-trained SVM has
-// exactly this shape (a few rows carry most of the margin).
-func concentratedModel(cfg Config, seed int64, amp, rho float64) *svm.Model {
-	wbx, wby := cfg.windowBlocks()
-	rowLen := wbx * cfg.HOG.BlockLen()
-	rng := rand.New(rand.NewSource(seed))
-	w := make([]float64, wby*rowLen)
-	for r := 0; r < wby; r++ {
-		a := amp * math.Pow(rho, float64(r))
-		for i := r * rowLen; i < (r+1)*rowLen; i++ {
-			w[i] = a * rng.NormFloat64()
-		}
-	}
-	return &svm.Model{W: w}
-}
-
-// TestCascadeExactPrunes checks the cascade actually earns its keep on
-// clutter: with a concentrated-mass model and a positive threshold, the
-// exact scan evaluates a fraction of each window's blocks, the per-stage
-// rejection counters fill in, and the detections still match the dense scan
-// bit for bit.
-func TestCascadeExactPrunes(t *testing.T) {
+// calibratedModel fits soft-cascade floors for model on freshly rendered
+// positives, exactly as pdtrain does, and returns a calibrated copy.
+func calibratedModel(t *testing.T, model *svm.Model, g *dataset.Generator) *svm.Model {
+	t.Helper()
 	cfg := DefaultConfig()
-	cfg.Workers = 1
-	cfg.Threshold = 0.5
-	model := concentratedModel(cfg, 41, 0.02, 0.55)
-
-	dense, err := NewDetector(model, cfg)
+	set, err := g.RenderAt(g.NewSpecSet(25, 0), 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cascade = CascadeExact
-	cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
-	exact, err := NewDetector(model, cfg)
+	pos, err := ExtractDescriptors(set, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	rng := rand.New(rand.NewSource(42))
-	frame := imgproc.NewGray(320, 240)
-	for i := range frame.Pix {
-		frame.Pix[i] = uint8(rng.Intn(256))
-	}
-	want, err := dense.DetectRaw(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exact.DetectRaw(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDetections(t, "clutter", want, got)
-
 	wbx, wby := cfg.windowBlocks()
-	cs := cfg.Metrics.Metrics().CascadeSnapshot()
-	if cs.Windows == 0 {
-		t.Fatal("cascade saw no windows")
+	casc, err := svm.NewCascade(model, wbx, wby, cfg.HOG.BlockLen())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if cs.Accepted >= cs.Windows {
-		t.Fatalf("no pruning: %d accepted of %d windows", cs.Accepted, cs.Windows)
+	const margin = 0.05
+	floors, err := casc.Calibrate(model, pos, margin)
+	if err != nil {
+		t.Fatal(err)
 	}
-	full := float64(wbx * wby)
-	if cs.MeanBlocks >= full/2 {
-		t.Errorf("mean %.1f blocks per window, want well under the dense %g", cs.MeanBlocks, full)
-	}
-	if len(cs.StageRejects) == 0 {
-		t.Error("no per-stage rejection counts recorded")
-	}
-	var rejects uint64
-	for _, n := range cs.StageRejects {
-		rejects += n
-	}
-	if rejects+cs.Accepted != cs.Windows {
-		t.Errorf("counter imbalance: %d rejects + %d accepted != %d windows",
-			rejects, cs.Accepted, cs.Windows)
-	}
+	out := model.Clone()
+	out.Calib = &svm.CascadeCalib{Stages: wby, Margin: margin, Thresholds: floors}
+	return out
 }
 
 // TestCascadeCalibratedSubset checks the opt-in lossy mode: calibrated
@@ -252,112 +170,84 @@ func detKey(d eval.Detection) detIdentity {
 	return detIdentity{box: d.Box, score: math.Float64bits(d.Score)}
 }
 
-// TestCascadeOctaveFallsBackDense checks that octave scanning — whose
-// resampled levels carry no block-norm bound — silently degrades exact mode
-// to the dense scan: identical detections, and zero cascade traffic in the
-// counters (nothing was staged, so nothing is misreported as pruned).
-func TestCascadeOctaveFallsBackDense(t *testing.T) {
-	det, g := testDetector(t)
-	model := det.Model()
-	frame, _ := sceneWithPedestrian(g, 320, 240, 128)
-
-	want, err := det.DetectOctaveRaw(frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Cascade = CascadeExact
-	cfg.Workers = 1
-	cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
-	exact, err := NewDetector(model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := exact.DetectOctaveRaw(frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameDetections(t, "octave", want, got)
-	if cs := cfg.Metrics.Metrics().CascadeSnapshot(); cs.Windows != 0 {
-		t.Errorf("octave scan staged %d windows; unbounded levels must scan dense", cs.Windows)
-	}
-}
-
-// TestScoreMapsCascadeThresholdEquivalent checks the documented score-map
-// contract under the cascade: maps are thresholding-equivalent to dense
-// maps — anchors above the decision threshold are bit-identical, pruned
-// anchors record an upper bound at or below it.
+// TestScoreMapsCascadeThresholdEquivalent checks the score-map contract
+// under the calibrated cascade: an anchor the cascade accepts keeps its
+// dense score bit for bit, a pruned anchor reads -Inf, and the anchors
+// above threshold rebuild exactly DetectRaw's detections.
 func TestScoreMapsCascadeThresholdEquivalent(t *testing.T) {
+	det, g := testDetector(t)
+	model := calibratedModel(t, det.Model(), g)
 	cfg := DefaultConfig()
 	cfg.Workers = 2
-	cfg.Threshold = 0.5
-	model := concentratedModel(cfg, 43, 0.02, 0.55)
-
 	dense, err := NewDetector(model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Cascade = CascadeExact
-	exact, err := NewDetector(model, cfg)
+	cfg.Cascade = CascadeCalibrated
+	cal, err := NewDetector(model, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(44))
-	frame := imgproc.NewGray(320, 240)
-	for i := range frame.Pix {
-		frame.Pix[i] = uint8(rng.Intn(256))
-	}
+	frame, _ := sceneWithPedestrian(dataset.New(1003), 320, 240, 128)
 	want, err := dense.ScoreMaps(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := exact.ScoreMaps(frame)
+	got, err := cal.ScoreMaps(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dets, err := cal.DetectRaw(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
 		t.Fatalf("%d maps, want %d", len(got), len(want))
 	}
+	cell := cfg.HOG.CellSize
 	pruned := 0
+	var rebuilt []eval.Detection
 	for li := range want {
 		dm, cm := want[li], got[li]
 		if cm.W != dm.W || cm.H != dm.H || cm.Scale != dm.Scale || cm.ScaleY != dm.ScaleY {
 			t.Fatalf("level %d geometry diverged", li)
 		}
-		for i := range dm.Scores {
-			dv, cv := dm.Scores[i], cm.Scores[i]
-			if math.Float64bits(dv) == math.Float64bits(cv) {
+		for i, cv := range cm.Scores {
+			if math.IsInf(cv, -1) {
+				pruned++
 				continue
 			}
-			pruned++
-			// The values differ only where the cascade pruned, and a pruned
-			// anchor's recorded bound must agree with the dense map that the
-			// anchor is below threshold.
-			if cv > cfg.Threshold {
-				t.Fatalf("level %d anchor %d: pruned value %v above threshold %g", li, i, cv, cfg.Threshold)
+			if math.Float64bits(cv) != math.Float64bits(dm.Scores[i]) {
+				t.Fatalf("level %d anchor %d: accepted score %v, dense %v (bits differ)", li, i, cv, dm.Scores[i])
 			}
-			if dv > cfg.Threshold {
-				t.Fatalf("level %d anchor %d: cascade pruned an anchor the dense map scores %v", li, i, dv)
+			if cv > cfg.Threshold {
+				x, y := i%cm.W, i/cm.W
+				rebuilt = append(rebuilt, eval.Detection{
+					Box:   geom.XYWH(x*cell, y*cell, cfg.WindowW, cfg.WindowH).ScaleXY(cm.Scale, cm.ScaleY),
+					Score: cv,
+				})
 			}
 		}
 	}
-	if pruned == 0 {
-		t.Error("cascade score maps identical everywhere; pruning never engaged")
+	if pruned == 0 || len(dets) == 0 {
+		t.Fatalf("vacuous: %d pruned anchors, %d detections", pruned, len(dets))
 	}
+	sortByScore(rebuilt)
+	sameDetections(t, "thresholded calibrated maps vs DetectRaw", dets, rebuilt)
 }
 
 // TestDetectAllocsCascade re-pins the TestDetectAllocs steady-state budget
-// with the exact cascade and the observability layer both enabled: the
+// with the calibrated cascade and the observability layer both enabled: the
 // staged path must stay allocation-free (stack row scratch, stack tallies)
 // even while every window is being pruned and counted.
 func TestDetectAllocsCascade(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	cfg.Cascade = CascadeExact
+	cfg.Cascade = CascadeCalibrated
 	cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
-	// A zero-weight model has zero suffix bounds, so every window is
-	// rejected at stage one: the maximal-traffic path for the tally code.
-	model := &svm.Model{W: make([]float64, cfg.DescriptorLen()), B: -1}
+	// Unreachable floors reject every window at stage one: the
+	// maximal-traffic path for the tally code.
+	model := withFloors(&svm.Model{W: make([]float64, cfg.DescriptorLen()), B: -1}, cfg, math.MaxFloat64)
 	d, err := NewDetector(model, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +273,7 @@ func TestDetectAllocsCascade(t *testing.T) {
 	}
 	cs := cfg.Metrics.Metrics().CascadeSnapshot()
 	if cs.Windows == 0 || cs.Accepted != 0 {
-		t.Errorf("zero-weight model should stage and reject everything: %+v", cs)
+		t.Errorf("unreachable floors should stage and reject everything: %+v", cs)
 	}
 	if cs.MeanBlocks >= float64(cfg.DescriptorLen())/float64(cfg.HOG.BlockLen()) {
 		t.Errorf("mean blocks %v shows no stage-one rejection", cs.MeanBlocks)

@@ -83,10 +83,8 @@ type Config struct {
 	// uses featpyr.NewFixedScaler defaults.
 	Fixed *featpyr.FixedScaler
 	// Cascade selects staged early-rejection window scoring (see
-	// CascadeMode). CascadeExact is pure optimization — detections stay
-	// bit-identical to CascadeOff at every worker count; CascadeCalibrated
-	// trades a measured miss bound for more pruning and needs a calibrated
-	// model. Off by default.
+	// CascadeMode). CascadeCalibrated trades a measured miss bound for
+	// pruning and needs a calibrated model. Off by default.
 	Cascade CascadeMode
 	// Workers bounds the goroutines used on the detection hot path: pyramid
 	// levels are built and scanned concurrently, each level sharded across
@@ -303,11 +301,6 @@ type pyrLevel struct {
 	fm     *hog.FeatureMap
 	sx, sy float64
 	index  int
-	// normCap bounds the L2 norm of any block vector of this level's map
-	// (levelNormCap); 0 means no bound is available and the exact cascade
-	// scans the level dense. Zero-valued pyrLevels (octave scans) therefore
-	// default to the safe dense path.
-	normCap float64
 	// spans restricts the scan to these anchor rectangles (applyRegions):
 	// nil scans the whole level dense, a non-nil empty slice skips the
 	// level entirely (the active region set touches none of its anchors).
@@ -421,11 +414,10 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 				// The exact per-axis scale of this level (sizes are
 				// rounded per level, separately in X and Y).
 				levels[i] = pyrLevel{
-					fm:      fm,
-					sx:      float64(frame.W) / float64(img.W),
-					sy:      float64(frame.H) / float64(img.H),
-					index:   s.index,
-					normCap: d.levelNormCap(s.index),
+					fm:    fm,
+					sx:    float64(frame.W) / float64(img.W),
+					sy:    float64(frame.H) / float64(img.H),
+					index: s.index,
 				}
 			}(i, s)
 		}
@@ -554,11 +546,10 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 			// ratio (grids are rounded per level, like image pyramid
 			// sizes, and independently per axis).
 			out = append(out, pyrLevel{
-				fm:      l.Map,
-				sx:      float64(baseBX) / float64(l.Map.BlocksX),
-				sy:      float64(baseBY) / float64(l.Map.BlocksY),
-				index:   i,
-				normCap: d.levelNormCap(i),
+				fm:    l.Map,
+				sx:    float64(baseBX) / float64(l.Map.BlocksX),
+				sy:    float64(baseBY) / float64(l.Map.BlocksY),
+				index: i,
 			})
 		}
 		return out, release, nil
@@ -596,15 +587,12 @@ func firstError(errs []error) error {
 // hog.FeatureMap.ScoreSpan in chunks of a stack buffer, so adjacent windows
 // share weight loads and no chunk allocates.
 //
-// With a cascade plan the staged kernel replaces the dense one. Exact mode
-// needs the level's block-norm bound; a level without one (l.normCap == 0)
-// scans dense, so octave scans and lambda-scaled float pyramids stay
-// correct without special cases. The staged path keeps the zero-allocation
-// property: the per-row dot scratch is a stack array (windows are at most
-// maxStackRows block rows tall in every shipped geometry; taller ones fall
-// back to one allocation per shard, not per window) and cascade counters
-// accumulate in a stack tally folded into the shared registry once per
-// call.
+// With a cascade plan the staged kernel replaces the dense one. The staged
+// path keeps the zero-allocation property: the per-row dot scratch is a
+// stack array (windows are at most maxStackRows block rows tall in every
+// shipped geometry; taller ones fall back to one allocation per shard, not
+// per window) and cascade counters accumulate in a stack tally folded into
+// the shared registry once per call.
 //
 // A region-restricted level (l.spans non-nil) scans only its anchor spans.
 // Both kernels iterate a span slice; the dense case is the degenerate
@@ -624,11 +612,7 @@ func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int
 	} else if len(spans) == 0 {
 		return out, nil // active region set touches no anchor of this level
 	}
-	plan := d.plan
-	if plan != nil && d.cfg.Cascade == CascadeExact && l.normCap <= 0 {
-		plan = nil // no norm bound: exact pruning impossible, scan dense
-	}
-	if plan == nil {
+	if d.plan == nil {
 		var scoreBuf [64]float64
 		for by := row0; by < row1; by++ {
 			if err := ctx.Err(); err != nil {
@@ -659,9 +643,6 @@ func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int
 		return out, nil
 	}
 
-	// Staged path. The kernel tests the raw (bias-free) score against the
-	// bias-adjusted threshold: score+B > Threshold <=> score > Threshold-B.
-	thr := d.cfg.Threshold - d.model.B
 	const maxStackRows = 64
 	var rowBuf [maxStackRows]float64
 	rowDots := rowBuf[:]
@@ -681,7 +662,7 @@ func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int
 				continue
 			}
 			for bx := sp.bx0; bx < sp.bx1; bx++ {
-				score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, plan, thr, l.normCap, rowDots)
+				score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, d.plan, rowDots)
 				if !ok {
 					continue
 				}

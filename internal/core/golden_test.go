@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -134,11 +135,12 @@ func writeGolden(t *testing.T, got map[string][]eval.Detection) {
 // TestGoldenDetections is the end-to-end regression pin: the trained
 // detector's full-scan output on a committed synthetic clip must match the
 // committed expectations bit for bit, and must stay bit-identical when the
-// scan is sharded across workers or routed through the exact cascade. Any
-// numerics change — feature extraction, scoring order, NMS — shows up here
-// as a concrete detection diff. The whole check runs twice, on the default
-// dense-scan kernel and with hog's vector span kernel off, so both scan
-// paths are pinned to the same committed bits.
+// scan is sharded across workers or routed through the staged cascade
+// kernel with floors that never reject. Any numerics change — feature
+// extraction, scoring order, NMS — shows up here as a concrete detection
+// diff. The whole check runs twice, on the default dense-scan kernel and
+// with hog's vector span kernel off, so both scan paths are pinned to the
+// same committed bits.
 func TestGoldenDetections(t *testing.T) {
 	det, _ := testDetector(t)
 	seq := goldenSequence(t)
@@ -163,15 +165,23 @@ func TestGoldenDetections(t *testing.T) {
 }
 
 // goldenDetections runs every golden mode over the clip, checking on the
-// way that worker count and the exact cascade change no detection.
+// way that worker count and the staged cascade kernel change no detection.
+// The cascade variants run the calibrated cascade with bottomless floors,
+// which never reject: every window takes the staged path and must score
+// bit-identically to the dense span kernel.
 func goldenDetections(t *testing.T, model *svm.Model, seq *dataset.Sequence) map[string][]eval.Detection {
 	t.Helper()
+	staged := withFloors(model, DefaultConfig(), -math.MaxFloat64)
 	detect := func(mode PyramidMode, workers int, cascade CascadeMode) [][]eval.Detection {
 		cfg := DefaultConfig()
 		cfg.Mode = mode
 		cfg.Workers = workers
 		cfg.Cascade = cascade
-		d, err := NewDetector(model, cfg)
+		m := model
+		if cascade == CascadeCalibrated {
+			m = staged
+		}
+		d, err := NewDetector(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,8 +215,8 @@ func goldenDetections(t *testing.T, model *svm.Model, seq *dataset.Sequence) map
 			cascade CascadeMode
 		}{
 			{"workers=4", 4, CascadeOff},
-			{"cascade", 1, CascadeExact},
-			{"workers=4+cascade", 4, CascadeExact},
+			{"cascade", 1, CascadeCalibrated},
+			{"workers=4+cascade", 4, CascadeCalibrated},
 		} {
 			alt := detect(mode, v.workers, v.cascade)
 			for f := range baseline {

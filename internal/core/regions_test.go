@@ -271,7 +271,8 @@ func TestScoreMapsROIExactFilter(t *testing.T) {
 // TestDetectROIExactFilter pins the end-to-end claim: restricted DetectRaw
 // returns exactly the dense detections whose window center falls in a
 // region, in the same raster order, at worker counts 1 and 4, with the
-// exact cascade staying bit-identical on the restricted scan.
+// staged cascade kernel (floors that never reject) staying bit-identical
+// on the restricted scan.
 func TestDetectROIExactFilter(t *testing.T) {
 	base := DefaultConfig()
 	base.Workers = 1
@@ -296,7 +297,11 @@ func TestDetectROIExactFilter(t *testing.T) {
 		if rects != nil {
 			cfg.Regions.Set(rects)
 		}
-		d, err := NewDetector(regionTestModel(cfg, 101), cfg)
+		model := regionTestModel(cfg, 101)
+		if cascade == CascadeCalibrated {
+			model = withFloors(model, cfg, -math.MaxFloat64)
+		}
+		d, err := NewDetector(model, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -357,7 +362,7 @@ func TestDetectROIExactFilter(t *testing.T) {
 	}
 
 	for _, workers := range []int{1, 4} {
-		for _, cascade := range []CascadeMode{CascadeOff, CascadeExact} {
+		for _, cascade := range []CascadeMode{CascadeOff, CascadeCalibrated} {
 			got := run(workers, cascade, regionTestRects)
 			if len(got) != len(want) {
 				t.Fatalf("workers=%d cascade=%v: %d restricted detections, want %d", workers, cascade, len(got), len(want))

@@ -37,23 +37,28 @@ func (sm *ScoreMap) Max() (x, y int, score float64) {
 	return x, y, score
 }
 
-// ToImage renders the map as an 8-bit heat image, linearly mapping
-// [min, max] to [0, 255]. A constant map renders mid-grey.
+// ToImage renders the map as an 8-bit heat image, linearly mapping the
+// scored [min, max] to [0, 255]. Anchors never scored (-Inf: outside the
+// ROI regions or pruned by the cascade) render black. A constant map
+// renders mid-grey.
 func (sm *ScoreMap) ToImage() *imgproc.Gray {
 	img := imgproc.NewGray(sm.W, sm.H)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range sm.Scores {
-		lo = math.Min(lo, v)
-		hi = math.Max(hi, v)
-	}
-	if hi <= lo {
-		for i := range img.Pix {
-			img.Pix[i] = 128
+		if !math.IsInf(v, -1) {
+			lo = math.Min(lo, v)
+			hi = math.Max(hi, v)
 		}
-		return img
 	}
 	for i, v := range sm.Scores {
-		img.Pix[i] = uint8(255 * (v - lo) / (hi - lo))
+		switch {
+		case math.IsInf(v, -1):
+			// Pix starts black.
+		case hi <= lo:
+			img.Pix[i] = 128
+		default:
+			img.Pix[i] = uint8(255 * (v - lo) / (hi - lo))
+		}
 	}
 	return img
 }
@@ -65,7 +70,9 @@ func (sm *ScoreMap) ToImage() *imgproc.Gray {
 // all get heat maps of their own pyramid. Scoring is zero-copy and sharded
 // across window rows over the configured worker pool. An active
 // Config.Regions set restricts scoring to the region anchor spans exactly
-// like DetectRaw; anchors outside the regions read as -Inf.
+// like DetectRaw; anchors outside the regions read as -Inf. With the
+// calibrated cascade on, anchors it prunes read as -Inf too, so
+// thresholding a map selects exactly DetectRaw's windows.
 func (d *Detector) ScoreMaps(frame *imgproc.Gray) ([]*ScoreMap, error) {
 	return d.ScoreMapsCtx(context.Background(), frame)
 }
@@ -106,15 +113,10 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 			}
 		}
 	}
-	// With a cascade enabled the maps stay thresholding-equivalent rather
-	// than value-identical: a pruned anchor records the cascade's upper
-	// bound on its score (+ bias), which is <= Threshold by construction of
-	// the rejection test, so thresholding a cascade score map selects the
-	// same anchors as thresholding a dense one; heat maps just flatten in
-	// the pruned (deeply negative) regions. Accepted anchors record their
-	// exact, bit-identical score.
+	// With the cascade on, a pruned anchor was never fully scored and reads
+	// -Inf, like an anchor outside the regions; accepted anchors record
+	// their exact, bit-identical score.
 	w := d.model.W
-	thr := d.cfg.Threshold - d.model.B
 	err = runShards(ctx, shardLevels(rows, d.cfg.workers()), d.cfg.workers(), func(_ int, s rowShard) error {
 		l := levels[s.level]
 		fm := l.fm
@@ -126,11 +128,7 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 		} else if len(spans) == 0 {
 			return nil // active region set touches no anchor of this level
 		}
-		plan := d.plan
-		if plan != nil && d.cfg.Cascade == CascadeExact && l.normCap <= 0 {
-			plan = nil
-		}
-		if plan == nil {
+		if d.plan == nil {
 			for by := s.row0; by < s.row1; by++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -166,17 +164,18 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 					continue
 				}
 				for bx := sp.bx0; bx < sp.bx1; bx++ {
-					score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, plan, thr, l.normCap, rowDots)
+					score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, d.plan, rowDots)
 					if !ok {
 						continue
 					}
 					tally.windows++
 					tally.rows += uint64(rowsEval)
-					if accepted {
-						tally.accepted++
-					} else {
+					if !accepted {
 						tally.reject(rowsEval)
+						sm.Scores[by*sm.W+bx] = math.Inf(-1)
+						continue
 					}
+					tally.accepted++
 					sm.Scores[by*sm.W+bx] = score + d.model.B
 				}
 			}

@@ -51,6 +51,12 @@ func TestScoreMapToImage(t *testing.T) {
 	if fi.At(0, 0) != 128 {
 		t.Errorf("flat map pixel %d, want 128", fi.At(0, 0))
 	}
+	// Unscored (-Inf) anchors render black and stay out of the scaling.
+	pruned := &ScoreMap{W: 3, H: 1, Scores: []float64{math.Inf(-1), 2, 4}}
+	pi := pruned.ToImage()
+	if pi.At(0, 0) != 0 || pi.At(1, 0) != 0 || pi.At(2, 0) != 255 {
+		t.Errorf("map with -Inf anchors = %d, %d, %d, want 0, 0, 255", pi.At(0, 0), pi.At(1, 0), pi.At(2, 0))
+	}
 }
 
 func TestScoreMapsTinyFrameErrors(t *testing.T) {

@@ -429,56 +429,3 @@ func TestScaleMapRatioRejectsBadRatios(t *testing.T) {
 		t.Error("negative ratio should error in the fixed scaler too")
 	}
 }
-
-// TestBlockNormCapBoundsChainedScaling validates the cascade's per-level
-// norm bound empirically: chaining the fixed scaler on a real normalized
-// HOG map never produces a block whose L2 norm exceeds BlockNormCap for
-// that chain depth. The cap's structure is also pinned: exactly 1 at level
-// zero (the exact-mode base case) and monotonically non-decreasing with
-// depth (the recurrence only ever adds excess).
-func TestBlockNormCapBoundsChainedScaling(t *testing.T) {
-	fm := randomMap(t, 160, 320, 77)
-	fs := NewFixedScaler()
-	bl := fm.BlockLen
-	if cap0 := fs.BlockNormCap(0, bl); cap0 != 1 {
-		t.Fatalf("level-0 cap %v, want exactly 1", cap0)
-	}
-	if cap := fs.BlockNormCap(-3, bl); cap != 1 {
-		t.Errorf("negative level cap %v, want 1", cap)
-	}
-	if cap := fs.BlockNormCap(2, 0); cap != 1 {
-		t.Errorf("degenerate blockLen cap %v, want 1", cap)
-	}
-	prev := 1.0
-	cur := fm
-	for level := 1; level <= 4; level++ {
-		out, _, err := fs.ScaleMapBy(cur, 1.2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cur = out
-		cap := fs.BlockNormCap(level, bl)
-		if cap < prev {
-			t.Fatalf("cap decreased: level %d cap %v < level %d cap %v", level, cap, level-1, prev)
-		}
-		prev = cap
-		var maxNorm float64
-		for b := 0; b+bl <= len(cur.Feat); b += bl {
-			var ss float64
-			for _, v := range cur.Feat[b : b+bl] {
-				ss += v * v
-			}
-			if n := math.Sqrt(ss); n > maxNorm {
-				maxNorm = n
-			}
-		}
-		if maxNorm > cap {
-			t.Fatalf("level %d: measured block norm %v exceeds cap %v", level, maxNorm, cap)
-		}
-		// The cap is an error model, not a giveaway: for the default 8-bit
-		// weights it stays within a few percent of 1.
-		if cap > 1.1 {
-			t.Errorf("level %d cap %v implausibly loose for the default formats", level, cap)
-		}
-	}
-}

@@ -157,33 +157,6 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 	return out, stats, nil
 }
 
-// BlockNormCap bounds the L2 norm of any block vector of a map produced by
-// `level` chained applications of this scaler to a base map whose blocks
-// have L2 norm <= 1 (the HOG normalizer's guarantee). The cascade's exact
-// rejection test needs this: its Cauchy-Schwarz bound assumes unit block
-// norms, and the fixed-point datapath can push a block slightly past 1 —
-// the four quantized bilinear weights sum to at most 1 + 2^-(WeightFrac-1),
-// and each output component absorbs input quantization plus four
-// round-shifts (< 3 feature ulps combined). Per level the norm recurrence
-// is therefore cap' = (1+wq)*cap + 3*sqrt(blockLen)*ulp; saturation clamps
-// every component to the format range, so sqrt(blockLen)*max is a hard
-// ceiling. level 0 (an unscaled map) returns exactly 1.
-func (s *FixedScaler) BlockNormCap(level, blockLen int) float64 {
-	if level <= 0 || blockLen < 1 {
-		return 1
-	}
-	wq := math.Ldexp(1, -(s.WeightFrac - 1))
-	add := 3 * math.Sqrt(float64(blockLen)) * s.FeatFmt.Eps()
-	cap := 1.0
-	for i := 0; i < level; i++ {
-		cap = (1+wq)*cap + add
-	}
-	if hard := math.Sqrt(float64(blockLen)) * s.FeatFmt.ToFloat(s.FeatFmt.Max()); cap > hard {
-		cap = hard
-	}
-	return cap
-}
-
 // ScaleMapBy is the factor-based variant of ScaleMap.
 func (s *FixedScaler) ScaleMapBy(fm *hog.FeatureMap, factor float64) (*hog.FeatureMap, *ScaleStats, error) {
 	if factor <= 0 {

@@ -1,50 +1,29 @@
 package hog
 
-// StagePlan is the kernel-side stage schedule of the early-rejection
-// cascade: which window block row each stage evaluates, the precomputed
-// Cauchy-Schwarz suffix bounds of the not-yet-evaluated remainder, and the
-// optional calibrated per-stage floors. Plans are built by the detector
-// layer from svm.Cascade tables (hog cannot import svm) and are immutable
-// once constructed, so one plan is shared by every scan worker.
+// StagePlan is the kernel-side stage schedule of the calibrated
+// early-rejection cascade: which window block row each stage evaluates and
+// the per-stage partial-score floors fitted on training positives. Plans
+// are built by the detector layer from svm.Cascade tables (hog cannot
+// import svm) and are immutable once constructed, so one plan is shared by
+// every scan worker.
 type StagePlan struct {
 	// Order[k] is the window block row stage k evaluates; a permutation of
 	// 0..rows-1 ranked by descending per-row weight mass.
 	Order []int32
-	// Suffix[k] bounds |sum of the unevaluated rows' dot products| at unit
-	// block norm: the sum of the per-row bounds of stages k.. (Suffix[len]
-	// = 0). Scaled by the caller's per-level norm cap at test time.
-	Suffix []float64
-	// Calib, when non-nil, holds per-stage partial-score floors (soft
-	// cascade): a window whose stage-order partial falls below Calib[k]
-	// after stage k is rejected. len(Calib) == len(Order).
+	// Calib holds the per-stage partial-score floors (soft cascade): a
+	// window whose stage-order partial falls below Calib[k] after stage k
+	// is rejected. len(Calib) == len(Order).
 	Calib []float64
-	// Slack is the absolute float-safety margin folded into the exact
-	// rejection test so that staged rounding can never reject a window the
-	// dense raster-order scan would keep.
-	Slack float64
 }
 
 // Valid reports whether the plan matches a window of wBlocksY block rows.
 func (p *StagePlan) Valid(wBlocksY int) bool {
-	return p != nil && len(p.Order) == wBlocksY && len(p.Suffix) == wBlocksY+1 &&
-		(p.Calib == nil || len(p.Calib) == wBlocksY)
+	return p != nil && len(p.Order) == wBlocksY && len(p.Calib) == wBlocksY
 }
 
 // ScoreWindowStaged is the cascade variant of ScoreWindow: it evaluates the
-// window's block rows in plan order, after each stage testing whether the
-// window can still beat thr (the bias-adjusted decision threshold).
-//
-// Exact rejection fires when partial + normCap*Suffix[k+1] + Slack <= thr:
-// normCap is the caller's upper bound on the L2 norm of any block vector of
-// this feature map (1 for directly-normalized maps; pyramid levels pass
-// their interpolation-aware cap), so by Cauchy-Schwarz the unevaluated rows
-// cannot add more than normCap*Suffix[k+1], and the slack absorbs the
-// rounding differences versus the dense scan — a rejected window is one the
-// dense scan provably rejects too. normCap <= 0 disables the exact test
-// (callers without a norm bound scan dense instead; see core).
-//
-// Calibrated rejection (plan.Calib != nil) additionally fires when the
-// stage-order partial drops below the stage's fitted floor.
+// window's block rows in plan order and rejects the window as soon as the
+// stage-order partial score drops below the stage's calibrated floor.
 //
 // Each stage's row dot product is the same dotRow call the dense scan
 // makes, stored into rowDots (caller scratch, len >= wBlocksY, indexed by
@@ -53,14 +32,13 @@ func (p *StagePlan) Valid(wBlocksY int) bool {
 // accepted windows score bit-identically to the dense scan.
 //
 // Returns:
-//   - score: the exact window score if accepted; an upper bound on it if
-//     rejected (what a score map records for pruned anchors).
+//   - score: the exact window score if accepted; 0 if rejected.
 //   - rowsEval: block rows actually evaluated (1..wBlocksY).
 //   - accepted: every stage was evaluated; score is exact and the caller
 //     applies its usual threshold test.
 //   - ok: geometry and plan matched (as ScoreWindow's bool).
 func (fm *FeatureMap) ScoreWindowStaged(w []float64, bx, by, wBlocksX, wBlocksY int,
-	plan *StagePlan, thr, normCap float64, rowDots []float64) (score float64, rowsEval int, accepted, ok bool) {
+	plan *StagePlan, rowDots []float64) (score float64, rowsEval int, accepted, ok bool) {
 	if bx < 0 || by < 0 || wBlocksX < 1 || wBlocksY < 1 ||
 		bx+wBlocksX > fm.BlocksX || by+wBlocksY > fm.BlocksY {
 		return 0, 0, false, false
@@ -69,29 +47,14 @@ func (fm *FeatureMap) ScoreWindowStaged(w []float64, bx, by, wBlocksX, wBlocksY 
 	if len(w) != wBlocksY*rowLen || !plan.Valid(wBlocksY) || len(rowDots) < wBlocksY {
 		return 0, 0, false, false
 	}
-	exact := normCap > 0
-	last := wBlocksY - 1
 	var partial float64
-	for k := 0; k <= last; k++ {
-		r := int(plan.Order[k])
-		row := fm.Feat[((by+r)*fm.BlocksX+bx)*fm.BlockLen:]
-		d := dotRow(w[r*rowLen:(r+1)*rowLen], row[:rowLen])
+	for k, r := range plan.Order {
+		row := fm.Feat[((by+int(r))*fm.BlocksX+bx)*fm.BlockLen:]
+		d := dotRow(w[int(r)*rowLen:(int(r)+1)*rowLen], row[:rowLen])
 		rowDots[r] = d
 		partial += d
-		if plan.Calib != nil && partial < plan.Calib[k] {
-			ub := partial
-			if exact {
-				ub += normCap * plan.Suffix[k+1]
-			}
-			return ub, k + 1, false, true
-		}
-		// No exact test after the last stage: all rows are already paid
-		// for, and the raster re-reduction below is the authoritative
-		// score (the stage-order partial differs by ulps).
-		if exact && k < last {
-			if ub := partial + normCap*plan.Suffix[k+1]; ub+plan.Slack <= thr {
-				return ub, k + 1, false, true
-			}
+		if partial < plan.Calib[k] {
+			return 0, k + 1, false, true
 		}
 	}
 	var s float64

@@ -3,6 +3,7 @@ package hog
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/imgproc"
@@ -11,7 +12,8 @@ import (
 
 // stagedSetup builds a real normalized feature map, a random weight vector,
 // and the stage plan the detector layer would derive for it (svm ranks the
-// rows; hog only consumes the tables).
+// rows; hog only consumes the tables). The plan's floors are bottomless,
+// so it never rejects until a test installs its own.
 func stagedSetup(t *testing.T, seed int64) (fm *FeatureMap, w []float64, plan *StagePlan, wbx, wby int) {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -34,135 +36,107 @@ func stagedSetup(t *testing.T, seed int64) (fm *FeatureMap, w []float64, plan *S
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan = &StagePlan{Order: casc.Order, Suffix: casc.Suffix, Slack: casc.Slack}
+	plan = &StagePlan{Order: casc.Order, Calib: constFloors(wby, -math.MaxFloat64)}
 	return fm, w, plan, wbx, wby
 }
 
-// TestScoreWindowStagedLossless is the kernel-level exactness contract:
-// at every anchor and every threshold, an accepted window scores
-// bit-identically to the dense scan, and a rejected window is one the dense
-// scan would reject too (its true score is at or below the threshold), with
-// the returned upper bound actually bounding it.
+// constFloors returns n stage floors all equal to v.
+func constFloors(n int, v float64) []float64 {
+	floors := make([]float64, n)
+	for i := range floors {
+		floors[i] = v
+	}
+	return floors
+}
+
+// TestScoreWindowStagedLossless is the kernel-level contract of the
+// calibrated cascade: a window is rejected exactly at the first stage whose
+// stage-order partial falls below that stage's floor, and every accepted
+// window scores bit-identically to the dense scan.
 func TestScoreWindowStagedLossless(t *testing.T) {
 	fm, w, plan, wbx, wby := stagedSetup(t, 31)
+	rowLen := wbx * fm.BlockLen
 
-	// Collect the dense scores first to pick thresholds that exercise both
-	// the all-accepted and the heavily-pruned regimes.
-	var dense []float64
+	// Reference stage-order partials of every window, from the same dotRow
+	// sequence the kernel runs; floors at each stage's 10th percentile
+	// spread the rejections over many stages.
+	var partials [][]float64
 	for by := 0; by+wby <= fm.BlocksY; by++ {
 		for bx := 0; bx+wbx <= fm.BlocksX; bx++ {
-			s, ok := fm.ScoreWindow(w, bx, by, wbx, wby)
+			p := make([]float64, wby)
+			var partial float64
+			for k, r := range plan.Order {
+				row := fm.Feat[((by+int(r))*fm.BlocksX+bx)*fm.BlockLen:]
+				partial += dotRow(w[int(r)*rowLen:(int(r)+1)*rowLen], row[:rowLen])
+				p[k] = partial
+			}
+			partials = append(partials, p)
+		}
+	}
+	plan.Calib = make([]float64, wby)
+	for k := range plan.Calib {
+		col := make([]float64, len(partials))
+		for i, p := range partials {
+			col[i] = p[k]
+		}
+		sort.Float64s(col)
+		plan.Calib[k] = col[len(col)/10]
+	}
+
+	rowDots := make([]float64, wby)
+	accepts := 0
+	rejectStages := make(map[int]bool)
+	i := 0
+	for by := 0; by+wby <= fm.BlocksY; by++ {
+		for bx := 0; bx+wbx <= fm.BlocksX; bx++ {
+			wantRows, wantAccept := wby, true
+			for k, v := range partials[i] {
+				if v < plan.Calib[k] {
+					wantRows, wantAccept = k+1, false
+					break
+				}
+			}
+			i++
+			score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, plan, rowDots)
 			if !ok {
-				t.Fatalf("dense score at (%d,%d) rejected", bx, by)
+				t.Fatalf("staged score at (%d,%d) rejected the geometry", bx, by)
 			}
-			dense = append(dense, s)
-		}
-	}
-	lo, hi := dense[0], dense[0]
-	for _, s := range dense {
-		lo, hi = math.Min(lo, s), math.Max(hi, s)
-	}
-
-	// Above everyBound even a single evaluated stage proves rejection:
-	// ub after stage 1 is at most RowBound[Order[0]] + Suffix[1] = Suffix[0].
-	everyBound := plan.Suffix[0] + plan.Slack + 1
-	rowDots := make([]float64, wby)
-	for _, thr := range []float64{lo - 1, (lo + hi) / 2, hi - 1e-9, everyBound} {
-		accepts, rejects := 0, 0
-		i := 0
-		for by := 0; by+wby <= fm.BlocksY; by++ {
-			for bx := 0; bx+wbx <= fm.BlocksX; bx++ {
-				score, rowsEval, accepted, ok := fm.ScoreWindowStaged(
-					w, bx, by, wbx, wby, plan, thr, 1, rowDots)
-				if !ok {
-					t.Fatalf("staged score at (%d,%d) rejected the geometry", bx, by)
-				}
-				if rowsEval < 1 || rowsEval > wby {
-					t.Fatalf("rowsEval %d outside 1..%d", rowsEval, wby)
-				}
-				if accepted {
-					accepts++
-					if math.Float64bits(score) != math.Float64bits(dense[i]) {
-						t.Fatalf("anchor (%d,%d) thr %g: staged %v != dense %v (bits differ)",
-							bx, by, thr, score, dense[i])
-					}
-					if rowsEval != wby {
-						t.Fatalf("accepted window evaluated %d of %d rows", rowsEval, wby)
-					}
-				} else {
-					rejects++
-					// Lossless: the dense scan rejects this window too.
-					if dense[i] > thr {
-						t.Fatalf("anchor (%d,%d) thr %g: pruned a window the dense scan keeps (score %v)",
-							bx, by, thr, dense[i])
-					}
-					// The returned value is a genuine upper bound (up to slack).
-					if score+plan.Slack < dense[i] {
-						t.Fatalf("anchor (%d,%d): returned bound %v below dense score %v",
-							bx, by, score, dense[i])
-					}
-					// Exact-mode rejection never fires after the last stage.
-					if rowsEval == wby {
-						t.Fatalf("anchor (%d,%d): exact rejection at the final stage", bx, by)
-					}
-				}
-				i++
+			if rowsEval != wantRows || accepted != wantAccept {
+				t.Fatalf("anchor (%d,%d): rowsEval %d accepted %v, want %d accepted %v",
+					bx, by, rowsEval, accepted, wantRows, wantAccept)
+			}
+			if !accepted {
+				rejectStages[rowsEval] = true
+				continue
+			}
+			accepts++
+			dense, _ := fm.ScoreWindow(w, bx, by, wbx, wby)
+			if math.Float64bits(score) != math.Float64bits(dense) {
+				t.Fatalf("anchor (%d,%d): staged %v != dense %v (bits differ)", bx, by, score, dense)
 			}
 		}
-		if thr < lo && rejects != 0 {
-			t.Fatalf("thr %g below every score rejected %d windows", thr, rejects)
-		}
-		if thr >= everyBound && accepts != 0 {
-			t.Fatalf("thr %g above the global bound still accepted %d windows", thr, accepts)
-		}
+	}
+	if accepts == 0 || len(rejectStages) < 2 {
+		t.Fatalf("degenerate sweep: %d accepts, rejections at stages %v", accepts, rejectStages)
 	}
 }
 
-// TestScoreWindowStagedNormCapDisables checks that normCap <= 0 switches the
-// exact test off: with no calibration every window is fully evaluated and
-// bit-identical to the dense scan regardless of the threshold.
-func TestScoreWindowStagedNormCapDisables(t *testing.T) {
-	fm, w, plan, wbx, wby := stagedSetup(t, 32)
-	rowDots := make([]float64, wby)
-	for _, anchor := range [][2]int{{0, 0}, {2, 3}, {fm.BlocksX - wbx, fm.BlocksY - wby}} {
-		bx, by := anchor[0], anchor[1]
-		dense, _ := fm.ScoreWindow(w, bx, by, wbx, wby)
-		score, rowsEval, accepted, ok := fm.ScoreWindowStaged(
-			w, bx, by, wbx, wby, plan, 1e300, 0, rowDots)
-		if !ok || !accepted || rowsEval != wby {
-			t.Fatalf("anchor (%d,%d): ok=%v accepted=%v rowsEval=%d", bx, by, ok, accepted, rowsEval)
-		}
-		if math.Float64bits(score) != math.Float64bits(dense) {
-			t.Fatalf("anchor (%d,%d): %v != dense %v", bx, by, score, dense)
-		}
-	}
-}
-
-// TestScoreWindowStagedCalibrated checks the soft-cascade floors: an
-// unreachable stage-one floor rejects every window after a single row, a
-// bottomless floor never fires, and the floors work with the exact test
-// disabled (octave fallback still honors calibration).
+// TestScoreWindowStagedCalibrated checks the extreme floors: an
+// unreachable stage-one floor rejects every window after a single row, and
+// a bottomless floor never fires, leaving the dense score bit for bit.
 func TestScoreWindowStagedCalibrated(t *testing.T) {
 	fm, w, plan, wbx, wby := stagedSetup(t, 33)
 	rowDots := make([]float64, wby)
 
-	high := make([]float64, wby)
-	for i := range high {
-		high[i] = math.MaxFloat64
-	}
-	plan.Calib = high
-	_, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, 1, 1, wbx, wby, plan, -1e300, 0, rowDots)
+	plan.Calib = constFloors(wby, math.MaxFloat64)
+	_, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, 1, 1, wbx, wby, plan, rowDots)
 	if !ok || accepted || rowsEval != 1 {
 		t.Fatalf("unreachable floor: ok=%v accepted=%v rowsEval=%d", ok, accepted, rowsEval)
 	}
 
-	low := make([]float64, wby)
-	for i := range low {
-		low[i] = -math.MaxFloat64
-	}
-	plan.Calib = low
+	plan.Calib = constFloors(wby, -math.MaxFloat64)
 	dense, _ := fm.ScoreWindow(w, 1, 1, wbx, wby)
-	score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, 1, 1, wbx, wby, plan, -1e300, 1, rowDots)
+	score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, 1, 1, wbx, wby, plan, rowDots)
 	if !ok || !accepted || rowsEval != wby {
 		t.Fatalf("bottomless floor: ok=%v accepted=%v rowsEval=%d", ok, accepted, rowsEval)
 	}
@@ -177,7 +151,7 @@ func TestScoreWindowStagedCalibrated(t *testing.T) {
 func TestScoreWindowStagedRejectsBadInput(t *testing.T) {
 	fm, w, plan, wbx, wby := stagedSetup(t, 34)
 	rowDots := make([]float64, wby)
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, plan, 0, 1, rowDots); !ok {
+	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, plan, rowDots); !ok {
 		t.Fatal("valid staged call rejected")
 	}
 	for _, bad := range [][4]int{
@@ -188,29 +162,26 @@ func TestScoreWindowStagedRejectsBadInput(t *testing.T) {
 		{0, 0, 0, wby},
 		{0, 0, wbx, 0},
 	} {
-		if _, _, _, ok := fm.ScoreWindowStaged(w, bad[0], bad[1], bad[2], bad[3], plan, 0, 1, rowDots); ok {
+		if _, _, _, ok := fm.ScoreWindowStaged(w, bad[0], bad[1], bad[2], bad[3], plan, rowDots); ok {
 			t.Errorf("geometry %v accepted", bad)
 		}
 	}
-	if _, _, _, ok := fm.ScoreWindowStaged(w[:10], 0, 0, wbx, wby, plan, 0, 1, rowDots); ok {
+	if _, _, _, ok := fm.ScoreWindowStaged(w[:10], 0, 0, wbx, wby, plan, rowDots); ok {
 		t.Error("short weight vector accepted")
 	}
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, nil, 0, 1, rowDots); ok {
+	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, nil, rowDots); ok {
 		t.Error("nil plan accepted")
 	}
-	badPlan := &StagePlan{Order: plan.Order[:wby-1], Suffix: plan.Suffix, Slack: plan.Slack}
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, badPlan, 0, 1, rowDots); ok {
-		t.Error("short stage order accepted")
+	for name, bad := range map[string]*StagePlan{
+		"short stage order": {Order: plan.Order[:wby-1], Calib: plan.Calib},
+		"short calibration": {Order: plan.Order, Calib: plan.Calib[:wby-1]},
+		"no calibration":    {Order: plan.Order},
+	} {
+		if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, bad, rowDots); ok {
+			t.Errorf("%s accepted", name)
+		}
 	}
-	badPlan = &StagePlan{Order: plan.Order, Suffix: plan.Suffix[:wby], Slack: plan.Slack}
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, badPlan, 0, 1, rowDots); ok {
-		t.Error("short suffix table accepted")
-	}
-	badPlan = &StagePlan{Order: plan.Order, Suffix: plan.Suffix, Calib: make([]float64, wby-1), Slack: plan.Slack}
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, badPlan, 0, 1, rowDots); ok {
-		t.Error("short calibration accepted")
-	}
-	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, plan, 0, 1, rowDots[:wby-1]); ok {
+	if _, _, _, ok := fm.ScoreWindowStaged(w, 0, 0, wbx, wby, plan, rowDots[:wby-1]); ok {
 		t.Error("short rowDots scratch accepted")
 	}
 }

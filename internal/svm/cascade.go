@@ -6,48 +6,32 @@ import (
 	"sort"
 )
 
-// Early-rejection cascade scoring.
+// Early-rejection cascade scoring (soft cascade, calibrated floors).
 //
 // A window descriptor is a grid of wBlocksY x wBlocksX normalized HOG
-// blocks. Every normalization scheme the detector supports (L2, L2-Hys,
-// L1-sqrt) leaves each BlockLen-dimensional block vector with L2 norm
-// strictly below 1, so for any block b of the unevaluated remainder of a
-// window, Cauchy-Schwarz bounds its contribution to the score:
-//
-//	|w_b . x_b| <= ||w_b||_2 * ||x_b||_2 <= ||w_b||_2
-//
-// The cascade partitions the weight vector into its wBlocksY block-row
-// stripes (each a contiguous strided row of the feature map, the unit the
-// zero-copy scorer already consumes), orders them by descending
-// discriminative mass, and precomputes suffix sums of the per-row bounds.
-// After evaluating the first k stages the full score is bounded above by
-//
-//	partial_k + Suffix[k]     (Suffix[k] = sum of row bounds of stages k..)
-//
-// so a window whose bound cannot exceed the decision threshold is rejected
-// without touching the remaining rows — and the rejection is *lossless*:
-// the dense scan would have rejected it too. See hog.StagePlan for the
-// kernel-side contract (including the float-safety slack) and DESIGN §5h
-// for the exactness argument.
+// blocks. The cascade partitions the weight vector into its wBlocksY
+// block-row stripes (each a contiguous strided row of the feature map, the
+// unit the zero-copy scorer already consumes) and orders them by
+// descending weight mass, so the rows that move the score most are
+// evaluated first. Calibrate then fits one partial-score floor per stage
+// on training positives: a window whose running partial after stage k
+// falls below floor k is rejected without touching the remaining rows.
+// The rejection is lossy — a positive unlike the calibration set can fall
+// below a floor — and MissRate measures that on held-out positives. See
+// hog.StagePlan for the kernel-side contract and DESIGN §5h.
 type Cascade struct {
 	// Rows, Cols, BlockLen describe the window geometry the partition was
 	// built for: Rows block rows of Cols blocks of BlockLen features.
 	Rows, Cols, BlockLen int
 	// Order is the stage schedule: stage k evaluates window block row
 	// Order[k]. Rows are ranked by descending RowBound (ties break toward
-	// the lower row index), so the bound tightens as fast as possible.
+	// the lower row index). Calibrated floors are stage-indexed, so a
+	// model file's calibration is valid only under this exact schedule.
 	Order []int32
-	// RowBound[r] is the per-row Cauchy-Schwarz bound at unit block norm:
-	// the sum of the L2 norms of row r's Cols block-weight sub-vectors.
+	// RowBound[r] is row r's weight mass: the sum of the L2 norms of its
+	// Cols block-weight sub-vectors, which bounds |row r's dot product|
+	// for blocks of unit norm (Cauchy-Schwarz).
 	RowBound []float64
-	// Suffix[k] is the sum of RowBound over stages k.. (stage order);
-	// Suffix[Rows] is 0. Non-increasing in k.
-	Suffix []float64
-	// Slack is the absolute float-safety margin of exact-mode rejection:
-	// it dominates every rounding difference between the staged partial
-	// sums, the suffix tables, and the dense raster-order dot product, so
-	// a rejection implies the dense score is below threshold too.
-	Slack float64
 	// Calib, when non-nil, holds the per-stage partial-score floors of
 	// calibrated (soft-cascade) mode, stage-indexed: a window with
 	// partial_k < Calib[k] is rejected. nil until Calibrate is run or a
@@ -65,8 +49,8 @@ const maxCascadeRows = 4096
 // NewCascade partitions m's weight vector for a wBlocksX x wBlocksY block
 // window with blockLen features per block, returning the ranked stage
 // tables. The model must be finite (NaN/Inf weights are rejected — a
-// non-finite bound silently disables pruning or, worse, prunes wrongly)
-// and its length must match the window geometry exactly.
+// non-finite mass would make the stage order meaningless) and its length
+// must match the window geometry exactly.
 func NewCascade(m *Model, wBlocksX, wBlocksY, blockLen int) (*Cascade, error) {
 	if m == nil {
 		return nil, fmt.Errorf("svm: cascade of nil model")
@@ -89,10 +73,8 @@ func NewCascade(m *Model, wBlocksX, wBlocksY, blockLen int) (*Cascade, error) {
 		BlockLen: blockLen,
 		Order:    make([]int32, wBlocksY),
 		RowBound: make([]float64, wBlocksY),
-		Suffix:   make([]float64, wBlocksY+1),
 	}
 	rowLen := wBlocksX * blockLen
-	var total float64
 	for r := 0; r < wBlocksY; r++ {
 		row := m.W[r*rowLen : (r+1)*rowLen]
 		var bound float64
@@ -107,20 +89,16 @@ func NewCascade(m *Model, wBlocksX, wBlocksY, blockLen int) (*Cascade, error) {
 			bound += math.Sqrt(ss)
 		}
 		// Finite weights can still overflow the squared-norm sums to +Inf;
-		// an infinite bound would silently disable pruning for the whole
-		// suffix, so treat it like a non-finite weight.
+		// infinite masses would tie and leave the order to the tie-break,
+		// so treat it like a non-finite weight.
 		if !isFinite(bound) {
 			return nil, fmt.Errorf("svm: weight mass of window row %d overflows", r)
 		}
 		c.RowBound[r] = bound
-		total += bound
 		c.Order[r] = int32(r)
 	}
-	if !isFinite(total) {
-		return nil, fmt.Errorf("svm: total weight mass overflows")
-	}
-	// Discriminative mass first: high-bound rows shrink the remainder
-	// fastest. The tie-break keeps the schedule deterministic.
+	// Discriminative mass first: high-mass rows move the partial score
+	// most. The tie-break keeps the schedule deterministic.
 	sort.SliceStable(c.Order, func(i, j int) bool {
 		bi, bj := c.RowBound[c.Order[i]], c.RowBound[c.Order[j]]
 		if bi != bj {
@@ -128,15 +106,6 @@ func NewCascade(m *Model, wBlocksX, wBlocksY, blockLen int) (*Cascade, error) {
 		}
 		return c.Order[i] < c.Order[j]
 	})
-	for k := wBlocksY - 1; k >= 0; k-- {
-		c.Suffix[k] = c.Suffix[k+1] + c.RowBound[c.Order[k]]
-	}
-	// The provable rounding bound is O(n * ulp * total) ~ 1e-11 for the
-	// paper's geometry; the slack overshoots it by orders of magnitude to
-	// also absorb the sub-ulp norm excess of interpolated pyramid levels,
-	// while staying far below any score margin that matters (windows
-	// within 1e-6 of the threshold are vanishingly rare).
-	c.Slack = 1e-6 * (1 + total)
 	return c, nil
 }
 
@@ -206,8 +175,8 @@ func (c *Cascade) partials(m *Model, x []float64) ([]float64, error) {
 
 // MissRate reports the fraction of the given positive descriptors the
 // calibrated floors would reject early — the measured miss bound of
-// calibrated mode on a held-out set (exact mode never misses, so the rate
-// is meaningful only with Calib set).
+// calibrated mode on a held-out set. It is 0 for a cascade with no floors
+// attached.
 func (c *Cascade) MissRate(m *Model, positives [][]float64) (float64, error) {
 	if c.Calib == nil {
 		return 0, nil

@@ -56,19 +56,6 @@ func TestNewCascadeTables(t *testing.T) {
 			t.Errorf("row %d bound %g, want %g", r, c.RowBound[r], want)
 		}
 	}
-	// Suffix sums telescope: Suffix[k] = Suffix[k+1] + RowBound[Order[k]],
-	// ending at zero.
-	if c.Suffix[rows] != 0 {
-		t.Errorf("Suffix[%d] = %g, want 0", rows, c.Suffix[rows])
-	}
-	for k := rows - 1; k >= 0; k-- {
-		if c.Suffix[k] != c.Suffix[k+1]+c.RowBound[c.Order[k]] {
-			t.Errorf("Suffix[%d] = %g, want %g", k, c.Suffix[k], c.Suffix[k+1]+c.RowBound[c.Order[k]])
-		}
-	}
-	if c.Slack <= 0 || !isFinite(c.Slack) {
-		t.Errorf("slack %g", c.Slack)
-	}
 }
 
 func TestNewCascadeRejectsBadInput(t *testing.T) {
