@@ -745,9 +745,16 @@ func BenchmarkAblationOctaveLambda(b *testing.B) {
 	}
 	for _, lambda := range []float64{0, 0.11, 0.3} {
 		b.Run(map[float64]string{0: "lambda0", 0.11: "lambda0.11", 0.3: "lambda0.3"}[lambda], func(b *testing.B) {
+			cfg := det.Config()
+			cfg.Mode = core.OctavePyramid
+			cfg.Scale.Lambda = lambda
+			od, err := core.NewDetector(det.Model(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
 			var n int
 			for i := 0; i < b.N; i++ {
-				dets, err := det.DetectOctave(scene.Frame, core.OctavePyramidConfig{Lambda: lambda})
+				dets, err := od.Detect(scene.Frame)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,6 +26,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -51,10 +52,12 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// report is the full JSON document written by -json. CPU and SpanKernel
-// say which machine and which window-scoring kernel the numbers belong to:
-// the dense scan runs several times faster with the AVX2 span kernel.
+// report is the full JSON document written by -json. Commit, CPU and
+// SpanKernel say which revision, machine and window-scoring kernel the
+// numbers belong to: the dense scan runs several times faster with the
+// AVX2 span kernel.
 type report struct {
+	Commit     string        `json:"commit"`
 	GoVersion  string        `json:"go_version"`
 	GOOS       string        `json:"goos"`
 	GOARCH     string        `json:"goarch"`
@@ -78,6 +81,28 @@ func cpuModel() string {
 		}
 	}
 	return ""
+}
+
+// commit is the VCS revision the binary was built from, with "+dirty" for
+// a modified tree, or "unknown" when the build could not see one: go run
+// does not stamp it, so build with go build for a stamped report.
+func commit() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	rev, dirty := "unknown", ""
+	for _, s := range bi.Settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			if s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	return rev + dirty
 }
 
 func main() {
@@ -114,6 +139,7 @@ func main() {
 	}
 
 	rep := report{
+		Commit:     commit(),
 		GoVersion:  runtime.Version(),
 		GOOS:       runtime.GOOS,
 		GOARCH:     runtime.GOARCH,
@@ -122,7 +148,7 @@ func main() {
 		SpanKernel: hog.SpanKernel(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
-	fmt.Printf("cpu %q, AVX2 span kernel %v\n", rep.CPU, rep.SpanKernel)
+	fmt.Printf("commit %s, cpu %q, AVX2 span kernel %v\n", rep.Commit, rep.CPU, rep.SpanKernel)
 	run := func(name string, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
 		res := benchResult{

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/imgproc"
 	"repro/internal/obs"
 	"repro/internal/roi"
@@ -33,7 +32,7 @@ func main() {
 		modelPath  = flag.String("model", "pedestrian.model", "trained model file")
 		in         = flag.String("in", "", "input PGM frame")
 		mode       = flag.String("mode", "feature", "pyramid mode: image, feature, chained, fixed, octave")
-		lambda     = flag.Float64("lambda", 0, "power-law channel correction (octave mode)")
+		lambda     = flag.Float64("lambda", 0, "power-law channel correction of resampled feature levels (octave mode: ~0.11 for HOG)")
 		step       = flag.Float64("step", 1.1, "pyramid scale step")
 		maxScales  = flag.Int("scales", 0, "max pyramid levels (0 = all that fit)")
 		threshold  = flag.Float64("threshold", 0, "SVM decision threshold")
@@ -67,10 +66,10 @@ func main() {
 	cfg.Threshold = *threshold
 	cfg.NMSOverlap = *nms
 	cfg.Workers = *workers
+	cfg.Scale.Lambda = *lambda
 	if *cascadeCal {
 		cfg.Cascade = core.CascadeCalibrated
 	}
-	octave := false
 	switch *mode {
 	case "image":
 		cfg.Mode = core.ImagePyramid
@@ -81,7 +80,7 @@ func main() {
 	case "fixed":
 		cfg.Mode = core.FeaturePyramidFixed
 	case "octave":
-		octave = true
+		cfg.Mode = core.OctavePyramid
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
@@ -90,9 +89,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if *stream > 0 {
-		if octave {
-			log.Fatal("-stream does not support octave mode")
-		}
 		var roiCfg *roi.Config
 		if *roiOn {
 			roiCfg = &roi.Config{FullEvery: *roiEvery, MarginPx: *roiMargin}
@@ -100,12 +96,7 @@ func main() {
 		runStream(det, frame, *stream, *fps, *hang, roiCfg)
 		return
 	}
-	var dets []eval.Detection
-	if octave {
-		dets, err = det.DetectOctave(frame, core.OctavePyramidConfig{Lambda: *lambda})
-	} else {
-		dets, err = det.Detect(frame)
-	}
+	dets, err := det.Detect(frame)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -20,6 +20,7 @@ var cancelModes = []struct {
 	{"feature", FeaturePyramid},
 	{"chained", FeaturePyramidChained},
 	{"fixed", FeaturePyramidFixed},
+	{"octave", OctavePyramid},
 }
 
 func cancelDetector(t *testing.T, mode PyramidMode, workers int) (*Detector, *imgproc.Gray) {

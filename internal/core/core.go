@@ -40,6 +40,13 @@ const (
 	// FeaturePyramidFixed is FeaturePyramidChained computed with the
 	// bit-accurate shift-and-add fixed-point scaler.
 	FeaturePyramidFixed
+	// OctavePyramid is the fast feature pyramid of Dollar et al. (TPAMI
+	// 2014, the paper's reference [4]): HOG features are extracted once per
+	// octave (frame scales 1, 2, 4, ...) and each level in between
+	// resamples the nearest octave below it, with the power-law channel
+	// correction F_s ~ (s/s')^-Lambda * resample(F_s') of Scale.Lambda.
+	// FeaturePyramid is its limiting case of a single octave and Lambda 0.
+	OctavePyramid
 )
 
 // String implements fmt.Stringer.
@@ -53,6 +60,8 @@ func (m PyramidMode) String() string {
 		return "feature-pyramid-chained"
 	case FeaturePyramidFixed:
 		return "feature-pyramid-fixed"
+	case OctavePyramid:
+		return "octave-pyramid"
 	}
 	return fmt.Sprintf("PyramidMode(%d)", int(m))
 }
@@ -67,7 +76,7 @@ type Config struct {
 	// MaxScales caps the number of pyramid levels; 0 means as many as fit.
 	// The paper's hardware uses 2 (memory-limited, Section 5).
 	MaxScales int
-	// Mode selects image- versus feature-pyramid detection.
+	// Mode selects how the pyramid levels are built (see PyramidMode).
 	Mode PyramidMode
 	// Threshold is the SVM decision threshold: windows scoring above it
 	// are detections.
@@ -77,7 +86,8 @@ type Config struct {
 	NMSOverlap float64
 	// Interp is the resampling kernel for the image pyramid.
 	Interp imgproc.Interp
-	// Scale configures the float feature scaler.
+	// Scale configures the float feature scaler; its Lambda is also the
+	// OctavePyramid channel correction.
 	Scale featpyr.ScaleConfig
 	// Fixed configures the fixed-point scaler (FeaturePyramidFixed); nil
 	// uses featpyr.NewFixedScaler defaults.
@@ -100,7 +110,7 @@ type Config struct {
 	// the paper's memory-limited 2-scale hardware operating point: the
 	// finest levels carry by far the most windows, so dropping them first
 	// buys the largest latency reduction at the smallest coverage loss
-	// (far-field detection range goes first). Ignored by DetectOctave.
+	// (far-field detection range goes first).
 	SkipFinest int
 	// Arena, if non-nil, supplies the pooled per-frame HOG scratch for the
 	// detect path; detectors sharing an Arena share its buffers (the
@@ -116,8 +126,8 @@ type Config struct {
 	// the same set) and owns the reusable span scratch that keeps the
 	// restricted path allocation-free. It serves one in-flight frame at a
 	// time — mutate it only between frames. Restriction composes with
-	// Workers sharding and both cascade modes and preserves raster-order
-	// determinism; DetectOctave ignores it.
+	// Workers sharding and the cascade and preserves raster-order
+	// determinism.
 	Regions *RegionSet
 	// Metrics, if non-nil, receives per-stage latency observations from the
 	// detect path: HOG cell binning and normalization (via the arena
@@ -168,6 +178,12 @@ func (c Config) Validate() error {
 	}
 	if c.ScaleStep <= 1 {
 		return fmt.Errorf("core: scale step %g must exceed 1", c.ScaleStep)
+	}
+	if c.Mode < ImagePyramid || c.Mode > OctavePyramid {
+		return fmt.Errorf("core: unknown pyramid mode %v", c.Mode)
+	}
+	if math.IsNaN(c.Scale.Lambda) || math.IsInf(c.Scale.Lambda, 0) {
+		return fmt.Errorf("core: scale lambda %g is not finite", c.Scale.Lambda)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: negative worker count %d", c.Workers)
@@ -428,7 +444,7 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 		d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(t0))
 		return levels, noop, nil
 
-	case FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed:
+	case FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid:
 		// The base extraction runs through the arena's pooled scratch: the
 		// fused front end writes the luminance plane, cell grid, and base
 		// feature map into reusable buffers instead of allocating them per
@@ -436,8 +452,8 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 		// featpyr.ReleaseMap (its slab belongs to the arena, not the level
 		// pool); the float pyramids clone it into pooled level 0, so their
 		// scratch checks back in right after construction, while the fixed
-		// pyramid scans it directly as level 0 and holds the scratch until
-		// release.
+		// and octave pyramids scan it directly as level 0 and hold the
+		// scratch until release.
 		s := d.arena.get()
 		s.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
 		base, err := hog.ComputeInto(frame, d.cfg.HOG, s, d.cfg.workers())
@@ -457,6 +473,15 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 		var levels []featpyr.Level
 		release := noop
 		switch d.cfg.Mode {
+		case OctavePyramid:
+			out, release, err := d.octaveLevels(ctx, frame, base, s)
+			if err != nil {
+				return nil, noop, err
+			}
+			d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(pt0))
+			// As below, shedding skips only the scan; release recycles
+			// the shed levels' maps with the rest.
+			return out[d.skipFinest(len(out)):], release, nil
 		case FeaturePyramid:
 			p, err := featpyr.BuildCtx(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale)
 			d.arena.put(s)
@@ -557,6 +582,90 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrL
 	return nil, noop, fmt.Errorf("core: unknown pyramid mode %v", d.cfg.Mode)
 }
 
+// octaveLevels builds the OctavePyramid levels on the base map the arena
+// scratch s extracted from the frame, which serves as octave 1 and is
+// scanned in place. Octaves 2, 4, ... are extracted from resized frames
+// while the window still fits them, each once the level scales reach it.
+// Level i covers frame scale ScaleStep^i: the nearest octave at or below
+// that scale is resampled by the remaining factor with Config.Scale (the
+// identity factor scans the octave map itself). The returned release
+// recycles the resampled maps into the featpyr pool and s into the arena;
+// on error both are already recycled.
+func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, s *hog.Scratch) ([]pyrLevel, func(), error) {
+	wbx, wby := d.cfg.windowBlocks()
+	var resampled []*hog.FeatureMap
+	release := func() {
+		for _, fm := range resampled {
+			featpyr.ReleaseMap(fm)
+		}
+		d.arena.put(s)
+	}
+	fail := func(err error) ([]pyrLevel, func(), error) {
+		release()
+		return nil, nil, err
+	}
+	if frame.W < d.cfg.WindowW || frame.H < d.cfg.WindowH || base.BlocksX < wbx || base.BlocksY < wby {
+		return fail(fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H))
+	}
+	// oct is the nearest octave at or below the current level's scale. sx
+	// and sy are the exact per-axis frame scales of its image (octave
+	// sizes are rounded independently per axis).
+	type octave struct {
+		scale, sx, sy float64
+		fm            *hog.FeatureMap
+	}
+	oct := octave{scale: 1, sx: 1, sy: 1, fm: base}
+	lastOctave := false
+	var levels []pyrLevel
+	for i := 0; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
+		if err := ctx.Err(); err != nil {
+			return fail(err)
+		}
+		scale := math.Pow(d.cfg.ScaleStep, float64(i))
+		for !lastOctave && 2*oct.scale <= scale {
+			next := 2 * oct.scale
+			w := int(math.Round(float64(frame.W) / next))
+			h := int(math.Round(float64(frame.H) / next))
+			if w < d.cfg.WindowW || h < d.cfg.WindowH {
+				lastOctave = true
+				break
+			}
+			fm, err := hog.Compute(imgproc.Resize(frame, w, h, d.cfg.Interp), d.cfg.HOG)
+			if err != nil {
+				return fail(fmt.Errorf("core: octave %.0fx: %w", next, err))
+			}
+			if fm.BlocksX < wbx || fm.BlocksY < wby {
+				lastOctave = true
+				break
+			}
+			oct = octave{next, float64(frame.W) / float64(w), float64(frame.H) / float64(h), fm}
+		}
+		rel := scale / oct.scale
+		outBX := int(math.Round(float64(oct.fm.BlocksX) / rel))
+		outBY := int(math.Round(float64(oct.fm.BlocksY) / rel))
+		if outBX < wbx || outBY < wby {
+			break
+		}
+		fm := oct.fm
+		if rel != 1 {
+			var err error
+			if fm, err = featpyr.ScaleMapRatio(oct.fm, outBX, outBY, rel, rel, d.cfg.Scale); err != nil {
+				return fail(err)
+			}
+			resampled = append(resampled, fm)
+		}
+		// Per-axis frame scale of the level: the octave's scale times
+		// the intra-octave block-grid ratio.
+		levels = append(levels, pyrLevel{
+			fm:    fm,
+			sx:    oct.sx * float64(oct.fm.BlocksX) / float64(fm.BlocksX),
+			sy:    oct.sy * float64(oct.fm.BlocksY) / float64(fm.BlocksY),
+			index: i,
+		})
+	}
+	return levels, release, nil
+}
+
 // firstError returns the most informative error of a per-level slice: the
 // first non-cancellation error if any (a real failure should not be masked
 // by the cancellations it triggered in sibling workers), else the first
@@ -577,113 +686,128 @@ func firstError(errs []error) error {
 	return first
 }
 
-// scanLevelRows slides the detection window over block rows [row0, row1) of
-// one pyramid level, appending scored detections to out. Windows are scored
-// zero-copy against the feature map — nothing is allocated per window.
-// l.sx and l.sy map level pixel coordinates back to frame pixels per axis.
-// Cancellation is checked once per window row, so an expired ctx stops a
-// scan within one row; the caller discards partial output on error, keeping
-// results deterministic. The dense kernel scores each span row with
-// hog.FeatureMap.ScoreSpan in chunks of a stack buffer, so adjacent windows
-// share weight loads and no chunk allocates.
-//
-// With a cascade plan the staged kernel replaces the dense one. The staged
-// path keeps the zero-allocation property: the per-row dot scratch is a
-// stack array (windows are at most maxStackRows block rows tall in every
-// shipped geometry; taller ones fall back to one allocation per shard, not
-// per window) and cascade counters accumulate in a stack tally folded into
-// the shared registry once per call.
-//
-// A region-restricted level (l.spans non-nil) scans only its anchor spans.
-// Both kernels iterate a span slice; the dense case is the degenerate
-// single full-width span, built on the stack, so the unrestricted path
-// pays one extra bounds test per row and no allocation. Spans are
-// non-overlapping and bx0-sorted, so restricted output stays in raster
-// order — the exact subsequence a dense scan would emit for those anchors.
-func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int, out []eval.Detection) ([]eval.Detection, error) {
+// maxStackRows bounds the window height, in block rows, whose staged-kernel
+// row scratch lives on the stack; every shipped geometry fits, and a taller
+// window costs one allocation per scanned shard, not per window.
+const maxStackRows = 64
+
+// spanScratch is one scan worker's state for scoreSpan: the staged
+// kernel's per-row dot scratch, on the stack with the worker, and the
+// cascade counters, folded into the shared registry once per shard so the
+// per-window path has no atomic traffic.
+type spanScratch struct {
+	rowBuf [maxStackRows]float64
+	tall   []float64 // row scratch of windows taller than maxStackRows
+	tally  cascadeTally
+}
+
+// rowDots returns the staged kernel's row scratch for windows wby block
+// rows tall.
+func (sc *spanScratch) rowDots(wby int) []float64 {
+	if wby <= maxStackRows {
+		return sc.rowBuf[:]
+	}
+	if sc.tall == nil {
+		sc.tall = make([]float64, wby)
+	}
+	return sc.tall
+}
+
+// forSpanRows walks the window rows [row0, row1) of level l in raster
+// order and calls fn once per anchor span crossing each row, with the
+// row's anchor columns [bx0, bx1). An unrestricted level (l.spans nil) is
+// the degenerate single full-width span, built on the stack; a restricted
+// one walks its region spans, which are non-overlapping and bx0-sorted, so
+// restricted output stays the exact raster-order subsequence of a dense
+// scan. Cancellation is checked once per window row, so an expired ctx
+// stops a scan within one row; the caller discards partial output on
+// error, keeping results deterministic.
+func (d *Detector) forSpanRows(ctx context.Context, l pyrLevel, row0, row1 int, fn func(by, bx0, bx1 int)) error {
 	wbx, wby := d.cfg.windowBlocks()
-	cell := d.cfg.HOG.CellSize
-	w := d.model.W
-	fm, sx, sy := l.fm, l.sx, l.sy
-	fullSpan := [1]anchorSpan{{bx0: 0, bx1: fm.BlocksX - wbx + 1, by0: 0, by1: fm.BlocksY - wby + 1}}
+	fullSpan := [1]anchorSpan{{bx0: 0, bx1: l.fm.BlocksX - wbx + 1, by0: 0, by1: l.fm.BlocksY - wby + 1}}
 	spans := l.spans
 	if spans == nil {
 		spans = fullSpan[:]
-	} else if len(spans) == 0 {
-		return out, nil // active region set touches no anchor of this level
 	}
-	if d.plan == nil {
-		var scoreBuf [64]float64
-		for by := row0; by < row1; by++ {
-			if err := ctx.Err(); err != nil {
-				return out, err
-			}
-			for si := range spans {
-				sp := spans[si]
-				if by < sp.by0 || by >= sp.by1 {
-					continue
-				}
-				for bx0 := sp.bx0; bx0 < sp.bx1; bx0 += len(scoreBuf) {
-					scores := scoreBuf[:min(len(scoreBuf), sp.bx1-bx0)]
-					if !fm.ScoreSpan(w, bx0, by, wbx, wby, scores) {
-						continue
-					}
-					for i, score := range scores {
-						score += d.model.B
-						if score <= d.cfg.Threshold {
-							continue
-						}
-						// Window anchor in level pixels, then back to frame pixels.
-						box := geom.XYWH((bx0+i)*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(sx, sy)
-						out = append(out, eval.Detection{Box: box, Score: score})
-					}
-				}
-			}
-		}
-		return out, nil
-	}
-
-	const maxStackRows = 64
-	var rowBuf [maxStackRows]float64
-	rowDots := rowBuf[:]
-	if wby > maxStackRows {
-		rowDots = make([]float64, wby)
-	}
-	var tally cascadeTally
-	reg := d.cfg.Metrics.Metrics()
 	for by := row0; by < row1; by++ {
 		if err := ctx.Err(); err != nil {
-			tally.fold(reg, wbx)
-			return out, err
+			return err
 		}
-		for si := range spans {
-			sp := spans[si]
-			if by < sp.by0 || by >= sp.by1 {
+		for _, sp := range spans {
+			if by >= sp.by0 && by < sp.by1 {
+				fn(by, sp.bx0, sp.bx1)
+			}
+		}
+	}
+	return nil
+}
+
+// scoreSpan writes the decision values (score + B) of the len(dst)
+// adjacent windows anchored at block columns bx0, bx0+1, ... of block row
+// by into dst. It is the one window scorer behind DetectRaw and ScoreMaps.
+// Without a cascade plan hog.FeatureMap.ScoreSpan scores the run, adjacent
+// windows sharing weight loads. With one, each window runs the staged
+// kernel: a window it prunes reads -Inf, an accepted one its exact dense
+// score, and sc.tally counts both. It reports false if a window overhangs
+// the map.
+func (d *Detector) scoreSpan(fm *hog.FeatureMap, bx0, by int, dst []float64, sc *spanScratch) bool {
+	wbx, wby := d.cfg.windowBlocks()
+	w, b := d.model.W, d.model.B
+	if d.plan == nil {
+		if !fm.ScoreSpan(w, bx0, by, wbx, wby, dst) {
+			return false
+		}
+		for i := range dst {
+			dst[i] += b
+		}
+		return true
+	}
+	for i := range dst {
+		score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx0+i, by, wbx, wby, d.plan, sc.rowDots(wby))
+		if !ok {
+			return false
+		}
+		sc.tally.windows++
+		sc.tally.rows += uint64(rowsEval)
+		if !accepted {
+			sc.tally.reject(rowsEval)
+			dst[i] = math.Inf(-1)
+			continue
+		}
+		sc.tally.accepted++
+		dst[i] = score + b
+	}
+	return true
+}
+
+// scanLevelRows slides the detection window over block rows [row0, row1) of
+// one pyramid level, appending the windows scoring above the threshold to
+// out. Windows are scored zero-copy against the feature map in chunks of a
+// stack buffer, so no chunk allocates. l.sx and l.sy map level pixel
+// coordinates back to frame pixels per axis.
+func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int, out []eval.Detection) ([]eval.Detection, error) {
+	cell := d.cfg.HOG.CellSize
+	var scoreBuf [64]float64
+	var sc spanScratch
+	err := d.forSpanRows(ctx, l, row0, row1, func(by, bx0, bx1 int) {
+		for ; bx0 < bx1; bx0 += len(scoreBuf) {
+			scores := scoreBuf[:min(len(scoreBuf), bx1-bx0)]
+			if !d.scoreSpan(l.fm, bx0, by, scores, &sc) {
 				continue
 			}
-			for bx := sp.bx0; bx < sp.bx1; bx++ {
-				score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, d.plan, rowDots)
-				if !ok {
-					continue
-				}
-				tally.windows++
-				tally.rows += uint64(rowsEval)
-				if !accepted {
-					tally.reject(rowsEval)
-					continue
-				}
-				tally.accepted++
-				score += d.model.B
+			for i, score := range scores {
 				if score <= d.cfg.Threshold {
 					continue
 				}
-				box := geom.XYWH(bx*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(sx, sy)
+				// Window anchor in level pixels, then back to frame pixels.
+				box := geom.XYWH((bx0+i)*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(l.sx, l.sy)
 				out = append(out, eval.Detection{Box: box, Score: score})
 			}
 		}
-	}
-	tally.fold(reg, wbx)
-	return out, nil
+	})
+	wbx, _ := d.cfg.windowBlocks()
+	sc.tally.fold(d.cfg.Metrics.Metrics(), wbx)
+	return out, err
 }
 
 // rowShard is one unit of scan work: a contiguous run of window rows of one

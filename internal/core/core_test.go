@@ -66,6 +66,20 @@ func TestConfigValidate(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Error("sub-cell window should fail validation")
 	}
+	for _, m := range []PyramidMode{PyramidMode(-1), OctavePyramid + 1} {
+		c = DefaultConfig()
+		c.Mode = m
+		if err := c.Validate(); err == nil {
+			t.Errorf("unknown mode %v should fail validation", m)
+		}
+	}
+	for _, lambda := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		c = DefaultConfig()
+		c.Scale.Lambda = lambda
+		if err := c.Validate(); err == nil {
+			t.Errorf("scale lambda %v should fail validation", lambda)
+		}
+	}
 }
 
 func TestDescriptorLen(t *testing.T) {
@@ -86,6 +100,18 @@ func TestNewDetectorChecksModel(t *testing.T) {
 	ok := &svm.Model{W: make([]float64, cfg.DescriptorLen())}
 	if _, err := NewDetector(ok, cfg); err != nil {
 		t.Errorf("valid model rejected: %v", err)
+	}
+	// A bad mode or lambda fails here, not on every frame at detect time.
+	bad := cfg
+	bad.Mode = PyramidMode(9)
+	if _, err := NewDetector(ok, bad); err == nil {
+		t.Error("unknown pyramid mode should fail NewDetector")
+	}
+	bad = cfg
+	bad.Mode = OctavePyramid
+	bad.Scale.Lambda = math.NaN()
+	if _, err := NewDetector(ok, bad); err == nil {
+		t.Error("NaN octave lambda should fail NewDetector")
 	}
 }
 
@@ -338,7 +364,7 @@ func TestEvaluateOnScene(t *testing.T) {
 }
 
 func TestPyramidModeString(t *testing.T) {
-	modes := []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, PyramidMode(9)}
+	modes := []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid, PyramidMode(9)}
 	for _, m := range modes {
 		if m.String() == "" {
 			t.Errorf("mode %d has empty string", int(m))

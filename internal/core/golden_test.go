@@ -28,7 +28,7 @@ const goldenPath = "testdata/golden_detections.txt"
 // goldenModes are the pyramid modes the fixture pins. Each mode has its
 // own expected detections (the modes differ by design); within a mode the
 // results must be bit-identical across worker counts and cascade on/off.
-var goldenModes = []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained}
+var goldenModes = []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, OctavePyramid}
 
 // goldenSequence renders the pinned synthetic clip. The generator seed is
 // fixed and independent of the shared training seed, so the clip never

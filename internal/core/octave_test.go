@@ -7,10 +7,27 @@ import (
 	"repro/internal/imgproc"
 )
 
-func TestDetectOctaveNativeScale(t *testing.T) {
+// octaveDetector returns the shared model as an OctavePyramid detector with
+// the given power-law correction; edit adjusts the config first.
+func octaveDetector(t *testing.T, det *Detector, lambda float64, edit func(*Config)) *Detector {
+	t.Helper()
+	cfg := det.Config()
+	cfg.Mode = OctavePyramid
+	cfg.Scale.Lambda = lambda
+	if edit != nil {
+		edit(&cfg)
+	}
+	d, err := NewDetector(det.Model(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+func TestOctavePyramidNativeScale(t *testing.T) {
 	det, g := testDetector(t)
 	frame, truth := sceneWithPedestrian(g, 256, 256, 128)
-	dets, err := det.DetectOctave(frame, OctavePyramidConfig{})
+	dets, err := octaveDetector(t, det, 0, nil).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,12 +39,12 @@ func TestDetectOctaveNativeScale(t *testing.T) {
 	}
 }
 
-func TestDetectOctaveLargePedestrianUsesSecondOctave(t *testing.T) {
+func TestOctavePyramidLargePedestrianUsesSecondOctave(t *testing.T) {
 	det, g := testDetector(t)
 	// A pedestrian ~2.1x the window height: beyond the first octave, so
 	// it can only be found via the octave-2 feature map.
 	frame, truth := sceneWithPedestrian(g, 512, 560, 270)
-	dets, err := det.DetectOctave(frame, OctavePyramidConfig{Lambda: 0.1})
+	dets, err := octaveDetector(t, det, 0.1, nil).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +60,10 @@ func TestDetectOctaveLargePedestrianUsesSecondOctave(t *testing.T) {
 	}
 }
 
-func TestDetectOctaveAgreesWithFeaturePyramid(t *testing.T) {
+func TestOctavePyramidAgreesWithFeaturePyramid(t *testing.T) {
 	det, g := testDetector(t)
 	frame, truth := sceneWithPedestrian(g, 320, 320, 140)
-	a, err := det.DetectOctave(frame, OctavePyramidConfig{})
+	a, err := octaveDetector(t, det, 0, nil).Detect(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,25 +81,22 @@ func TestDetectOctaveAgreesWithFeaturePyramid(t *testing.T) {
 	}
 }
 
-func TestDetectOctaveTooSmallFrame(t *testing.T) {
+func TestOctavePyramidTooSmallFrame(t *testing.T) {
 	det, _ := testDetector(t)
-	if _, err := det.DetectOctave(imgproc.NewGray(16, 16), OctavePyramidConfig{}); err == nil {
+	if _, err := octaveDetector(t, det, 0, nil).Detect(imgproc.NewGray(16, 16)); err == nil {
 		t.Error("tiny frame should error")
 	}
 }
 
-func TestDetectOctaveMaxScales(t *testing.T) {
+func TestOctavePyramidMaxScales(t *testing.T) {
 	det, g := testDetector(t)
 	frame, _ := sceneWithPedestrian(g, 512, 512, 128)
-	cfg := det.Config()
-	cfg.MaxScales = 1
-	cfg.Threshold = -1e9
-	cfg.NMSOverlap = 0
-	d1, err := NewDetector(det.Model(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := d1.DetectOctaveRaw(frame, OctavePyramidConfig{})
+	d1 := octaveDetector(t, det, 0, func(cfg *Config) {
+		cfg.MaxScales = 1
+		cfg.Threshold = -1e9
+		cfg.NMSOverlap = 0
+	})
+	one, err := d1.DetectRaw(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

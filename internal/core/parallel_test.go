@@ -158,7 +158,7 @@ func TestDetectNonSquarePedestrianNearBottom(t *testing.T) {
 func TestScoreMapsFollowDetectorMode(t *testing.T) {
 	det, g := testDetector(t)
 	frame, _ := sceneWithPedestrian(g, 320, 256, 128)
-	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed} {
+	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid} {
 		cfg := det.Config()
 		cfg.Mode = mode
 		cfg.MaxScales = 3
@@ -204,7 +204,7 @@ func TestParallelSerialIdenticalDetections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed} {
+	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid} {
 		cfg := det.Config()
 		cfg.Mode = mode
 		cfg.MaxScales = 4
@@ -230,31 +230,6 @@ func TestParallelSerialIdenticalDetections(t *testing.T) {
 		if !reflect.DeepEqual(r1, r8) {
 			t.Errorf("%v: workers=1 and workers=8 disagree (%d vs %d detections)", mode, len(r1), len(r8))
 		}
-	}
-	// The octave detector shares the scan machinery.
-	cfg := det.Config()
-	cfg.MaxScales = 4
-	cfg.Threshold = -2
-	cfg.Workers = 1
-	d1, err := NewDetector(det.Model(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 8
-	d8, err := NewDetector(det.Model(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := d1.DetectOctave(scene.Frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r8, err := d8.DetectOctave(scene.Frame, OctavePyramidConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r8) {
-		t.Errorf("octave: workers=1 and workers=8 disagree (%d vs %d detections)", len(r1), len(r8))
 	}
 }
 

@@ -209,7 +209,7 @@ var regionTestRects = []geom.Rect{
 // value at anchors whose window center falls in a region and -Inf
 // everywhere else.
 func TestScoreMapsROIExactFilter(t *testing.T) {
-	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained} {
+	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, OctavePyramid} {
 		t.Run(mode.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.Mode = mode

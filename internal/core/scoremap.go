@@ -66,8 +66,8 @@ func (sm *ScoreMap) ToImage() *imgproc.Gray {
 // ScoreMaps computes the dense decision values of every pyramid level for
 // the frame (no thresholding, no NMS). Levels come from the same builder as
 // DetectRaw, so the maps correspond exactly to the windows the configured
-// Mode scans — image-pyramid, feature-pyramid, chained and fixed detectors
-// all get heat maps of their own pyramid. Scoring is zero-copy and sharded
+// Mode scans — every pyramid mode gets heat maps of its own pyramid — and
+// DetectRaw's span-row scorer fills them. Scoring is zero-copy and sharded
 // across window rows over the configured worker pool. An active
 // Config.Regions set restricts scoring to the region anchor spans exactly
 // like DetectRaw; anchors outside the regions read as -Inf. With the
@@ -88,7 +88,7 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 	}
 	defer release()
 	d.applyRegions(levels)
-	wbx, wby := d.cfg.windowBlocks()
+	wbx, _ := d.cfg.windowBlocks()
 	rows := d.scanRows(levels)
 	maps := make([]*ScoreMap, len(levels))
 	for i, l := range levels {
@@ -113,75 +113,14 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 			}
 		}
 	}
-	// With the cascade on, a pruned anchor was never fully scored and reads
-	// -Inf, like an anchor outside the regions; accepted anchors record
-	// their exact, bit-identical score.
-	w := d.model.W
 	err = runShards(ctx, shardLevels(rows, d.cfg.workers()), d.cfg.workers(), func(_ int, s rowShard) error {
-		l := levels[s.level]
-		fm := l.fm
-		sm := maps[s.level]
-		fullSpan := [1]anchorSpan{{bx0: 0, bx1: sm.W, by0: 0, by1: sm.H}}
-		spans := l.spans
-		if spans == nil {
-			spans = fullSpan[:]
-		} else if len(spans) == 0 {
-			return nil // active region set touches no anchor of this level
-		}
-		if d.plan == nil {
-			for by := s.row0; by < s.row1; by++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				for si := range spans {
-					sp := spans[si]
-					if by < sp.by0 || by >= sp.by1 {
-						continue
-					}
-					row := sm.Scores[by*sm.W+sp.bx0 : by*sm.W+sp.bx1]
-					fm.ScoreSpan(w, sp.bx0, by, wbx, wby, row)
-					for i := range row {
-						row[i] += d.model.B
-					}
-				}
-			}
-			return nil
-		}
-		var rowBuf [64]float64
-		rowDots := rowBuf[:]
-		if wby > len(rowBuf) {
-			rowDots = make([]float64, wby)
-		}
-		var tally cascadeTally
-		for by := s.row0; by < s.row1; by++ {
-			if err := ctx.Err(); err != nil {
-				tally.fold(d.cfg.Metrics.Metrics(), wbx)
-				return err
-			}
-			for si := range spans {
-				sp := spans[si]
-				if by < sp.by0 || by >= sp.by1 {
-					continue
-				}
-				for bx := sp.bx0; bx < sp.bx1; bx++ {
-					score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx, by, wbx, wby, d.plan, rowDots)
-					if !ok {
-						continue
-					}
-					tally.windows++
-					tally.rows += uint64(rowsEval)
-					if !accepted {
-						tally.reject(rowsEval)
-						sm.Scores[by*sm.W+bx] = math.Inf(-1)
-						continue
-					}
-					tally.accepted++
-					sm.Scores[by*sm.W+bx] = score + d.model.B
-				}
-			}
-		}
-		tally.fold(d.cfg.Metrics.Metrics(), wbx)
-		return nil
+		l, sm := levels[s.level], maps[s.level]
+		var sc spanScratch
+		err := d.forSpanRows(ctx, l, s.row0, s.row1, func(by, bx0, bx1 int) {
+			d.scoreSpan(l.fm, bx0, by, sm.Scores[by*sm.W+bx0:by*sm.W+bx1], &sc)
+		})
+		sc.tally.fold(d.cfg.Metrics.Metrics(), wbx)
+		return err
 	})
 	if err != nil {
 		return nil, err

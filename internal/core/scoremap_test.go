@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"repro/internal/hog"
 	"repro/internal/imgproc"
 )
 
@@ -35,6 +37,69 @@ func TestScoreMapsPeakAtPedestrian(t *testing.T) {
 	for i := 1; i < len(maps); i++ {
 		if maps[i].W >= maps[i-1].W && maps[i].H >= maps[i-1].H {
 			t.Fatal("levels must shrink")
+		}
+	}
+}
+
+// TestScoreMapsMatchScoreWindow checks every ScoreMaps anchor of every
+// pyramid mode against an independent reference: the level rebuilt with
+// buildLevels and scored one window at a time by hog.FeatureMap.ScoreWindow,
+// plus the bias, bit for bit. It runs on both span-kernel dispatch paths and
+// through the staged cascade kernel with floors that never reject, so each
+// path behind the shared span scorer stays pinned to the scalar scorer.
+func TestScoreMapsMatchScoreWindow(t *testing.T) {
+	det, g := testDetector(t)
+	// 280 rows: the coarsest levels come from the octave-2 feature map.
+	frame, _ := sceneWithPedestrian(g, 200, 280, 128)
+	defer hog.SetSpanKernel(hog.SetSpanKernel(true))
+	for _, kernel := range []bool{true, false} {
+		hog.SetSpanKernel(kernel)
+		for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid} {
+			for _, cascade := range []CascadeMode{CascadeOff, CascadeCalibrated} {
+				cfg := det.Config()
+				cfg.Mode = mode
+				cfg.Cascade = cascade
+				model := det.Model()
+				if cascade == CascadeCalibrated {
+					model = withFloors(model, cfg, -math.MaxFloat64)
+				}
+				d, err := NewDetector(model, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps, err := d.ScoreMaps(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				levels, release, err := d.buildLevels(context.Background(), frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(levels) != len(maps) {
+					t.Fatalf("%v: %d levels, %d score maps", mode, len(levels), len(maps))
+				}
+				wbx, wby := cfg.windowBlocks()
+				for i, l := range levels {
+					sm := maps[i]
+					if sm.W != l.fm.BlocksX-wbx+1 || sm.H != l.fm.BlocksY-wby+1 || sm.Scale != l.sx || sm.ScaleY != l.sy {
+						t.Fatalf("%v level %d: map %dx%d at (%v, %v) does not match the rebuilt level", mode, i, sm.W, sm.H, sm.Scale, sm.ScaleY)
+					}
+					for y := 0; y < sm.H; y++ {
+						for x := 0; x < sm.W; x++ {
+							want, ok := l.fm.ScoreWindow(model.W, x, y, wbx, wby)
+							if !ok {
+								t.Fatalf("%v level %d: anchor (%d, %d) does not fit", mode, i, x, y)
+							}
+							want += model.B
+							if got := sm.At(x, y); math.Float64bits(got) != math.Float64bits(want) {
+								t.Fatalf("kernel=%v %v cascade=%v level %d anchor (%d, %d): ScoreMaps %v, ScoreWindow %v",
+									kernel, mode, cascade, i, x, y, got, want)
+							}
+						}
+					}
+				}
+				release()
+			}
 		}
 	}
 }
