@@ -443,15 +443,17 @@ func BenchmarkNormalize(b *testing.B) {
 			}
 		}
 	})
-	b.Run("into", func(b *testing.B) {
-		var fm hog.FeatureMap
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := hog.NormalizeInto(grid, cfg, &fm); err != nil {
-				b.Fatal(err)
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("into/workers%d", workers), func(b *testing.B) {
+			var fm hog.FeatureMap
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkSVMScoreWindow times one 4608-dim window classification.

@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/featpyr"
 	"repro/internal/geom"
 	"repro/internal/hog"
 	"repro/internal/imgproc"
@@ -168,7 +169,14 @@ func main() {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		run(fmt.Sprintf("ComputeCells/fused/workers=%d", n), benchComputeCellsFused(n))
 	}
-	run("Normalize/into", benchNormalizeInto)
+	run("Normalize/into", benchNormalizeInto(1))
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		run(fmt.Sprintf("Normalize/into/workers=%d", n), benchNormalizeInto(n))
+	}
+	run("FrontEnd/1080p/workers=1", benchFrontEnd(1))
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		run(fmt.Sprintf("FrontEnd/1080p/workers=%d", n), benchFrontEnd(n))
+	}
 	run("DetectParallel/workers=1", benchDetect(1, false))
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		run(fmt.Sprintf("DetectParallel/workers=%d", n), benchDetect(0, false))
@@ -286,19 +294,56 @@ func benchComputeCellsFused(workers int) func(b *testing.B) {
 }
 
 // benchNormalizeInto benchmarks arena-backed block normalization of a VGA
-// cell grid.
-func benchNormalizeInto(b *testing.B) {
-	cfg := hog.DefaultConfig()
-	grid, err := hog.ComputeCells(randFrame(640, 480, 23), cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var fm hog.FeatureMap
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := hog.NormalizeInto(grid, cfg, &fm); err != nil {
+// cell grid at the given block-row worker count.
+func benchNormalizeInto(workers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		cfg := hog.DefaultConfig()
+		grid, err := hog.ComputeCells(randFrame(640, 480, 23), cfg)
+		if err != nil {
 			b.Fatal(err)
+		}
+		var fm hog.FeatureMap
+		if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil { // size fm
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchFrontEnd benchmarks everything the detector runs before the scan on
+// the paper's 1920x1080 operating point — the fused HOG front end into a
+// reused scratch, then the full feature pyramid (scale step 1.1, down to
+// the 64x128 window) into a reused level store — at the given worker
+// count, after one untimed frame has grown the buffers. Steady state
+// allocates only the fan-out bookkeeping.
+func benchFrontEnd(workers int) func(b *testing.B) {
+	return func(b *testing.B) {
+		frame := randFrame(1920, 1080, 29)
+		cfg := core.DefaultConfig()
+		s := hog.NewScratch()
+		var p featpyr.Pyramid
+		wbx, wby := cfg.HOG.WindowBlocks(cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH))
+		ctx := context.Background()
+		frontEnd := func() {
+			base, err := hog.ComputeInto(frame, cfg.HOG, s, workers)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Build(ctx, base, cfg.ScaleStep, wbx, wby, 0, cfg.Scale, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+		frontEnd() // grow the scratch and the level store
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			frontEnd()
 		}
 	}
 }

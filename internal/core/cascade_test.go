@@ -262,12 +262,13 @@ func TestDetectAllocsCascade(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	const budget = 32
+	const budget = 20 // measured 1; -race headroom as in TestDetectAllocs
 	n := testing.AllocsPerRun(20, func() {
 		if _, err := d.Detect(frame); err != nil {
 			t.Fatal(err)
 		}
 	})
+	t.Logf("%v allocs/frame", n)
 	if n > budget {
 		t.Errorf("Detect with cascade: %v allocs/op in steady state, budget %d", n, budget)
 	}

@@ -11,7 +11,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sync"
+	"slices"
 	"time"
 
 	"repro/internal/eval"
@@ -20,6 +20,7 @@ import (
 	"repro/internal/hog"
 	"repro/internal/imgproc"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/svm"
 )
 
@@ -96,13 +97,14 @@ type Config struct {
 	// CascadeMode). CascadeCalibrated trades a measured miss bound for
 	// pruning and needs a calibrated model. Off by default.
 	Cascade CascadeMode
-	// Workers bounds the goroutines used on the detection hot path: pyramid
-	// levels are built and scanned concurrently, each level sharded across
-	// window rows. 0 means GOMAXPROCS; 1 scans serially. Window scores do
-	// not depend on sharding and shard results are merged in raster order,
-	// so every worker count produces identical detections. This is the
-	// software analogue of the paper's eight parallel MACBAR classifiers
-	// scoring window columns side by side.
+	// Workers bounds the goroutines used on the detection hot path: the
+	// HOG front end splits its luminance, cell and normalization passes by
+	// rows, pyramid levels are resampled and scanned concurrently, each
+	// level split by rows. 0 means GOMAXPROCS; 1 runs serially. No output
+	// value depends on the split and shard results are merged in raster
+	// order, so every worker count produces identical detections. This is
+	// the software analogue of the paper's eight parallel MACBAR
+	// classifiers scoring window columns side by side.
 	Workers int
 	// SkipFinest drops the N finest (most expensive) pyramid levels from
 	// scanning, keeping at least the coarsest level. The streaming runtime
@@ -112,8 +114,9 @@ type Config struct {
 	// buys the largest latency reduction at the smallest coverage loss
 	// (far-field detection range goes first).
 	SkipFinest int
-	// Arena, if non-nil, supplies the pooled per-frame HOG scratch for the
-	// detect path; detectors sharing an Arena share its buffers (the
+	// Arena, if non-nil, supplies the reused per-frame scratch (HOG front
+	// end and pyramid level store) of the detect path; detectors sharing
+	// an Arena share its buffers (the
 	// streaming runtime hands one arena to every degradation rung). nil
 	// gives the detector a private arena in NewDetector.
 	Arena *Arena
@@ -292,14 +295,14 @@ func (d *Detector) DetectRawCtx(ctx context.Context, frame *imgproc.Gray) ([]eva
 		return nil, err
 	}
 	d.cfg.Metrics.BeginFrame()
-	levels, release, err := d.buildLevels(ctx, frame)
+	fs, err := d.buildLevels(ctx, frame)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
-	d.applyRegions(levels)
+	defer d.arena.put(fs)
+	d.applyRegions(fs.levels)
 	t0 := time.Now()
-	out, err := d.scanLevels(ctx, levels)
+	out, err := d.scanLevels(ctx, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -373,240 +376,176 @@ func (d *Detector) skipFinest(n int) int {
 	return skip
 }
 
-// buildLevels constructs the pyramid of the configured mode and returns its
-// levels with their per-axis frame-mapping factors, plus a release function
-// that recycles pooled feature storage once scanning is done. Both DetectRaw
-// and ScoreMaps go through here, so every mode scores the same levels in
-// both entry points. Construction observes ctx: extraction stops within one
-// pyramid level of cancellation.
-func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) ([]pyrLevel, func(), error) {
-	noop := func() {}
-	wbx, wby := d.cfg.windowBlocks()
-	switch d.cfg.Mode {
-	case ImagePyramid:
-		sizes := d.pyramidSizes(frame.W, frame.H)
-		if len(sizes) == 0 {
-			return nil, noop, fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
-		}
-		// Shed levels before doing any work: in image-pyramid mode both the
-		// resize and the HOG extraction of a skipped level are saved.
-		sizes = sizes[d.skipFinest(len(sizes)):]
-		// Resize + HOG extraction dominates image-pyramid cost; run the
-		// levels through a bounded worker pool. Each worker recovers its own
-		// panics so a poison frame (e.g. a truncated pixel buffer) surfaces
-		// as an error from DetectRawCtx instead of killing the process.
-		//
-		// The whole per-level resize+extract fan-out books under
-		// StagePyramid: the parallel workers compute HOG through pooled
-		// scratches that cannot share the frame's single-threaded stage
-		// recorder, so image-pyramid mode does not split out hog_cells /
-		// hog_norm the way the feature modes do.
-		t0 := time.Now()
-		levels := make([]pyrLevel, len(sizes))
-		errs := make([]error, len(sizes))
-		sem := make(chan struct{}, d.cfg.workers())
-		var wg sync.WaitGroup
-		for i, s := range sizes {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, s levelSize) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = fmt.Errorf("core: level %d: panic during extraction: %v", s.index, r)
-					}
-				}()
-				if err := ctx.Err(); err != nil {
-					errs[i] = err
-					return
-				}
-				img := imgproc.Resize(frame, s.w, s.h, d.cfg.Interp)
-				fm, err := hog.Compute(img, d.cfg.HOG)
-				if err != nil {
-					errs[i] = fmt.Errorf("core: level %d: %w", s.index, err)
-					return
-				}
-				// The exact per-axis scale of this level (sizes are
-				// rounded per level, separately in X and Y).
-				levels[i] = pyrLevel{
-					fm:    fm,
-					sx:    float64(frame.W) / float64(img.W),
-					sy:    float64(frame.H) / float64(img.H),
-					index: s.index,
-				}
-			}(i, s)
-		}
-		wg.Wait()
-		if err := firstError(errs); err != nil {
-			return nil, noop, err
-		}
-		d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(t0))
-		return levels, noop, nil
+// buildLevels checks a scratch out of the arena and builds the pyramid of
+// the configured mode into it: fs.levels are the levels to scan, with
+// their per-axis frame-mapping factors. The levels alias the scratch, so
+// the caller returns it with d.arena.put once scanning is done; on error it
+// is already returned. Both DetectRaw and ScoreMaps go through here, so
+// every mode scores the same levels in both entry points. Construction
+// observes ctx: it stops within one job of cancellation.
+func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) (*frameScratch, error) {
+	fs := d.arena.get()
+	if err := d.fillLevels(ctx, frame, fs); err != nil {
+		d.arena.put(fs)
+		return nil, err
+	}
+	return fs, nil
+}
 
-	case FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid:
-		// The base extraction runs through the arena's pooled scratch: the
-		// fused front end writes the luminance plane, cell grid, and base
-		// feature map into reusable buffers instead of allocating them per
-		// frame. The scratch-owned base map must never reach
-		// featpyr.ReleaseMap (its slab belongs to the arena, not the level
-		// pool); the float pyramids clone it into pooled level 0, so their
-		// scratch checks back in right after construction, while the fixed
-		// and octave pyramids scan it directly as level 0 and hold the
-		// scratch until release.
-		s := d.arena.get()
-		s.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
-		base, err := hog.ComputeInto(frame, d.cfg.HOG, s, d.cfg.workers())
-		if err != nil {
-			d.arena.put(s)
-			return nil, noop, err
-		}
-		if err := ctx.Err(); err != nil {
-			d.arena.put(s)
-			return nil, noop, err
-		}
-		// The arena may hand the scratch to another frame once it is
-		// checked in; snapshot the base grid size for the scale ratios
-		// below instead of re-reading the (then recycled) map.
-		baseBX, baseBY := base.BlocksX, base.BlocksY
-		pt0 := time.Now()
-		var levels []featpyr.Level
-		release := noop
-		switch d.cfg.Mode {
-		case OctavePyramid:
-			out, release, err := d.octaveLevels(ctx, frame, base, s)
-			if err != nil {
-				return nil, noop, err
-			}
-			d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(pt0))
-			// As below, shedding skips only the scan; release recycles
-			// the shed levels' maps with the rest.
-			return out[d.skipFinest(len(out)):], release, nil
-		case FeaturePyramid:
-			p, err := featpyr.BuildCtx(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale)
-			d.arena.put(s)
-			if err != nil {
-				return nil, noop, err
-			}
-			levels, release = p.Levels, p.Release
-		case FeaturePyramidChained:
-			p, err := featpyr.BuildChainedCtx(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale)
-			d.arena.put(s)
-			if err != nil {
-				return nil, noop, err
-			}
-			levels, release = p.Levels, p.Release
-		case FeaturePyramidFixed:
-			if base.BlocksX < wbx || base.BlocksY < wby {
-				d.arena.put(s)
-				return nil, noop, fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
-			}
-			scaler := d.cfg.Fixed
-			if scaler == nil {
-				scaler = featpyr.NewFixedScaler()
-			}
-			levels = []featpyr.Level{{Scale: 1, Map: base}}
-			prev := base
-			for i := 1; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
-				// Termination is decided on the target grid before scaling
-				// (same rounding as ScaleMapBy): a level too small for the
-				// window ends the pyramid, while a scaler failure on a
-				// viable level is a real error and is returned, not
-				// swallowed as silent truncation.
-				outBX := int(math.Round(float64(prev.BlocksX) / d.cfg.ScaleStep))
-				outBY := int(math.Round(float64(prev.BlocksY) / d.cfg.ScaleStep))
-				if outBX < wbx || outBY < wby {
-					break
-				}
-				if err := ctx.Err(); err != nil {
-					for j := 1; j < len(levels); j++ {
-						featpyr.ReleaseMap(levels[j].Map)
-					}
-					d.arena.put(s)
-					return nil, noop, err
-				}
-				lt0 := time.Now()
-				m, _, err := scaler.ScaleMap(prev, outBX, outBY)
-				if err != nil {
-					for j := 1; j < len(levels); j++ {
-						featpyr.ReleaseMap(levels[j].Map)
-					}
-					d.arena.put(s)
-					return nil, noop, fmt.Errorf("core: fixed scaler level %d: %w", i, err)
-				}
-				d.cfg.Metrics.ObserveLevel(time.Since(lt0))
-				levels = append(levels, featpyr.Level{
-					Scale: levels[i-1].Scale * d.cfg.ScaleStep,
-					Map:   m,
-				})
-				prev = m
-			}
-			lv := levels
-			release = func() {
-				// Level 0 is the scratch-owned base: it returns to the
-				// arena, not the featpyr pool.
-				for i := 1; i < len(lv); i++ {
-					featpyr.ReleaseMap(lv[i].Map)
-				}
-				d.arena.put(s)
-			}
-		}
-		d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(pt0))
-		// Feature pyramids derive every coarser level from the base map, so
-		// shedding only skips the scan (which dominates); skipped level maps
-		// go straight back to the scratch pool — except a scratch-owned base,
-		// whose storage the release function returns to the arena instead.
-		// Absolute indices are kept so LevelProbe still addresses the
-		// original scale ladder.
-		skip := d.skipFinest(len(levels))
-		out := make([]pyrLevel, 0, len(levels)-skip)
-		for i, l := range levels {
-			if i < skip {
-				if l.Map != base {
-					featpyr.ReleaseMap(l.Map)
-				}
-				continue
-			}
+// fillLevels is buildLevels on a checked-out scratch.
+func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *frameScratch) error {
+	workers := d.cfg.workers()
+	if d.cfg.Mode == ImagePyramid {
+		return d.imageLevels(ctx, frame, fs, workers)
+	}
+	// The base extraction runs through the arena's scratch: the fused front
+	// end writes the luminance plane, cell grid, and base feature map into
+	// reusable buffers, and every feature pyramid scans that base map in
+	// place as its level 0.
+	fs.hog.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
+	base, err := hog.ComputeInto(frame, d.cfg.HOG, fs.hog, workers)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	wbx, wby := d.cfg.windowBlocks()
+	pt0 := time.Now()
+	switch d.cfg.Mode {
+	case OctavePyramid:
+		err = d.octaveLevels(ctx, frame, base, fs, workers)
+	case FeaturePyramid:
+		err = fs.pyr.Build(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale, workers)
+	case FeaturePyramidChained:
+		err = fs.pyr.BuildChained(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale, workers)
+	case FeaturePyramidFixed:
+		err = d.fixedLevels(ctx, frame, base, fs)
+	default:
+		return fmt.Errorf("core: unknown pyramid mode %v", d.cfg.Mode)
+	}
+	if err != nil {
+		return err
+	}
+	if d.cfg.Mode != OctavePyramid {
+		fs.levels = slices.Grow(fs.levels, len(fs.pyr.Levels))
+		for i, l := range fs.pyr.Levels {
 			// Effective per-axis scale of this level from the block-grid
 			// ratio (grids are rounded per level, like image pyramid
 			// sizes, and independently per axis).
-			out = append(out, pyrLevel{
+			fs.levels = append(fs.levels, pyrLevel{
 				fm:    l.Map,
-				sx:    float64(baseBX) / float64(l.Map.BlocksX),
-				sy:    float64(baseBY) / float64(l.Map.BlocksY),
+				sx:    float64(base.BlocksX) / float64(l.Map.BlocksX),
+				sy:    float64(base.BlocksY) / float64(l.Map.BlocksY),
 				index: i,
 			})
 		}
-		return out, release, nil
 	}
-	return nil, noop, fmt.Errorf("core: unknown pyramid mode %v", d.cfg.Mode)
+	d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(pt0))
+	// Feature pyramids derive every coarser level from the base map, so
+	// shedding only skips the scan (which dominates). Absolute indices are
+	// kept so LevelProbe still addresses the original scale ladder.
+	fs.levels = append(fs.levels[:0], fs.levels[d.skipFinest(len(fs.levels)):]...)
+	return nil
 }
 
-// octaveLevels builds the OctavePyramid levels on the base map the arena
-// scratch s extracted from the frame, which serves as octave 1 and is
-// scanned in place. Octaves 2, 4, ... are extracted from resized frames
-// while the window still fits them, each once the level scales reach it.
-// Level i covers frame scale ScaleStep^i: the nearest octave at or below
-// that scale is resampled by the remaining factor with Config.Scale (the
-// identity factor scans the octave map itself). The returned release
-// recycles the resampled maps into the featpyr pool and s into the arena;
-// on error both are already recycled.
-func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, s *hog.Scratch) ([]pyrLevel, func(), error) {
-	wbx, wby := d.cfg.windowBlocks()
-	var resampled []*hog.FeatureMap
-	release := func() {
-		for _, fm := range resampled {
-			featpyr.ReleaseMap(fm)
+// imageLevels builds the ImagePyramid levels into fs: every level resizes
+// the frame and extracts HOG afresh, one level per job on up to workers
+// goroutines. Levels are shed before any work is done, so both the resize
+// and the extraction of a skipped level are saved.
+//
+// The whole per-level resize+extract fan-out books under StagePyramid: the
+// parallel jobs compute HOG through pooled scratches that cannot share the
+// frame's single-threaded stage recorder, so image-pyramid mode does not
+// split out hog_cells / hog_norm the way the feature modes do.
+func (d *Detector) imageLevels(ctx context.Context, frame *imgproc.Gray, fs *frameScratch, workers int) error {
+	sizes := d.pyramidSizes(frame.W, frame.H)
+	if len(sizes) == 0 {
+		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
+	}
+	sizes = sizes[d.skipFinest(len(sizes)):]
+	t0 := time.Now()
+	fs.levels = append(fs.levels[:0], make([]pyrLevel, len(sizes))...)
+	levels := fs.levels
+	err := par.Do(ctx, len(sizes), workers, func(i int) error {
+		s := sizes[i]
+		img := imgproc.Resize(frame, s.w, s.h, d.cfg.Interp)
+		fm, err := hog.Compute(img, d.cfg.HOG)
+		if err != nil {
+			return fmt.Errorf("core: level %d: %w", s.index, err)
 		}
-		d.arena.put(s)
+		// The exact per-axis scale of this level (sizes are rounded per
+		// level, separately in X and Y).
+		levels[i] = pyrLevel{
+			fm:    fm,
+			sx:    float64(frame.W) / float64(img.W),
+			sy:    float64(frame.H) / float64(img.H),
+			index: s.index,
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	fail := func(err error) ([]pyrLevel, func(), error) {
-		release()
-		return nil, nil, err
+	d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(t0))
+	return nil
+}
+
+// fixedLevels builds the FeaturePyramidFixed levels into fs.pyr: the
+// chained pyramid of the bit-accurate shift-and-add scaler, each level
+// written into the pyramid's reusable store, level 0 the base map itself.
+func (d *Detector) fixedLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch) error {
+	wbx, wby := d.cfg.windowBlocks()
+	if base.BlocksX < wbx || base.BlocksY < wby {
+		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
 	}
+	scaler := d.cfg.Fixed
+	if scaler == nil {
+		scaler = featpyr.NewFixedScaler()
+	}
+	p := &fs.pyr
+	p.Reset()
+	p.Levels = append(p.Levels, featpyr.Level{Scale: 1, Map: base})
+	prev := base
+	for i := 1; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
+		// Termination is decided on the target grid before scaling (same
+		// rounding as ScaleMapBy): a level too small for the window ends
+		// the pyramid, while a scaler failure on a viable level is a real
+		// error and is returned, not swallowed as silent truncation.
+		outBX := int(math.Round(float64(prev.BlocksX) / d.cfg.ScaleStep))
+		outBY := int(math.Round(float64(prev.BlocksY) / d.cfg.ScaleStep))
+		if outBX < wbx || outBY < wby {
+			break
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		lt0 := time.Now()
+		m := p.Map(outBX, outBY, prev)
+		if _, err := scaler.ScaleInto(m, prev, float64(prev.BlocksX)/float64(outBX), float64(prev.BlocksY)/float64(outBY)); err != nil {
+			return fmt.Errorf("core: fixed scaler level %d: %w", i, err)
+		}
+		d.cfg.Metrics.ObserveLevel(time.Since(lt0))
+		p.Levels = append(p.Levels, featpyr.Level{Scale: p.Levels[i-1].Scale * d.cfg.ScaleStep, Map: m})
+		prev = m
+	}
+	return nil
+}
+
+// octaveLevels builds the OctavePyramid levels into fs.levels on the base
+// map the arena scratch extracted from the frame, which serves as octave 1
+// and is scanned in place. Octaves 2, 4, ... are extracted from resized
+// frames while the window still fits them, each once the level scales reach
+// it. Level i covers frame scale ScaleStep^i: the nearest octave at or below
+// that scale is resampled by the remaining factor with Config.Scale into the
+// scratch's level store, its rows on up to workers goroutines (the identity
+// factor scans the octave map itself).
+func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch, workers int) error {
+	wbx, wby := d.cfg.windowBlocks()
 	if frame.W < d.cfg.WindowW || frame.H < d.cfg.WindowH || base.BlocksX < wbx || base.BlocksY < wby {
-		return fail(fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H))
+		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
 	}
+	fs.pyr.Reset()
 	// oct is the nearest octave at or below the current level's scale. sx
 	// and sy are the exact per-axis frame scales of its image (octave
 	// sizes are rounded independently per axis).
@@ -616,10 +555,9 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 	}
 	oct := octave{scale: 1, sx: 1, sy: 1, fm: base}
 	lastOctave := false
-	var levels []pyrLevel
 	for i := 0; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
 		if err := ctx.Err(); err != nil {
-			return fail(err)
+			return err
 		}
 		scale := math.Pow(d.cfg.ScaleStep, float64(i))
 		for !lastOctave && 2*oct.scale <= scale {
@@ -632,7 +570,7 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 			}
 			fm, err := hog.Compute(imgproc.Resize(frame, w, h, d.cfg.Interp), d.cfg.HOG)
 			if err != nil {
-				return fail(fmt.Errorf("core: octave %.0fx: %w", next, err))
+				return fmt.Errorf("core: octave %.0fx: %w", next, err)
 			}
 			if fm.BlocksX < wbx || fm.BlocksY < wby {
 				lastOctave = true
@@ -649,41 +587,20 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 		fm := oct.fm
 		if rel != 1 {
 			var err error
-			if fm, err = featpyr.ScaleMapRatio(oct.fm, outBX, outBY, rel, rel, d.cfg.Scale); err != nil {
-				return fail(err)
+			if fm, err = fs.pyr.Scale(ctx, oct.fm, outBX, outBY, rel, rel, d.cfg.Scale, workers); err != nil {
+				return err
 			}
-			resampled = append(resampled, fm)
 		}
 		// Per-axis frame scale of the level: the octave's scale times
 		// the intra-octave block-grid ratio.
-		levels = append(levels, pyrLevel{
+		fs.levels = append(fs.levels, pyrLevel{
 			fm:    fm,
 			sx:    oct.sx * float64(oct.fm.BlocksX) / float64(fm.BlocksX),
 			sy:    oct.sy * float64(oct.fm.BlocksY) / float64(fm.BlocksY),
 			index: i,
 		})
 	}
-	return levels, release, nil
-}
-
-// firstError returns the most informative error of a per-level slice: the
-// first non-cancellation error if any (a real failure should not be masked
-// by the cancellations it triggered in sibling workers), else the first
-// error.
-func firstError(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if err != context.Canceled && err != context.DeadlineExceeded {
-			return err
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	return first
+	return nil
 }
 
 // maxStackRows bounds the window height, in block rows, whose staged-kernel
@@ -817,103 +734,28 @@ type rowShard struct {
 	row0, row1 int
 }
 
-// shardLevels splits each level's row count into up to `workers` contiguous
-// shards, in (level, row) order. Levels with fewer rows than workers yield
-// fewer shards; a zero row count yields none.
-func shardLevels(rows []int, workers int) []rowShard {
-	var shards []rowShard
-	for level, n := range rows {
+// shardLevels splits the window rows of fs.levels into up to `workers`
+// contiguous shards per level, in (level, row) order, into fs.rows and
+// fs.shards. Levels with fewer rows than workers yield fewer shards; a
+// level the window does not fit yields none.
+func (d *Detector) shardLevels(fs *frameScratch, workers int) {
+	wbx, wby := d.cfg.windowBlocks()
+	fs.rows = slices.Grow(fs.rows[:0], len(fs.levels))
+	fs.shards = slices.Grow(fs.shards[:0], len(fs.levels)*workers)
+	for level, l := range fs.levels {
+		n := 0
+		if l.fm.BlocksX >= wbx && l.fm.BlocksY >= wby {
+			n = l.fm.BlocksY - wby + 1
+		}
+		fs.rows = append(fs.rows, n)
 		if n < 1 {
 			continue
 		}
 		step := (n + workers - 1) / workers
 		for r := 0; r < n; r += step {
-			r1 := r + step
-			if r1 > n {
-				r1 = n
-			}
-			shards = append(shards, rowShard{level: level, row0: r, row1: r1})
+			fs.shards = append(fs.shards, rowShard{level: level, row0: r, row1: min(r+step, n)})
 		}
 	}
-	return shards
-}
-
-// runShards executes fn over the shards on a pool of `workers` goroutines.
-// fn must be safe for concurrent calls on distinct shard indices and is
-// expected to observe ctx itself for sub-shard cancellation granularity.
-// Each worker goroutine recovers its own panics — a poison shard (corrupt
-// feature data) is reported as an error instead of crashing the process —
-// and cancellation stops job dispatch between shards. On a non-nil return
-// the shard outputs are incomplete and must be discarded.
-func runShards(ctx context.Context, shards []rowShard, workers int, fn func(i int, s rowShard) error) error {
-	if workers > len(shards) {
-		workers = len(shards)
-	}
-	if workers <= 1 {
-		for i, s := range shards {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if err := fn(i, s); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	jobs := make(chan int)
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					errs[w] = fmt.Errorf("core: scan worker panic: %v", r)
-					// Keep draining so the dispatcher never blocks on a
-					// dead worker pool.
-					for range jobs {
-					}
-				}
-			}()
-			for i := range jobs {
-				if errs[w] != nil || ctx.Err() != nil {
-					continue // drain without scanning
-				}
-				if err := fn(i, shards[i]); err != nil {
-					errs[w] = err
-				}
-			}
-		}(w)
-	}
-	for i := range shards {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			close(jobs)
-			wg.Wait()
-			return ctx.Err()
-		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return firstError(errs)
-}
-
-// scanRows returns the number of window rows of each level (zero when the
-// window does not fit).
-func (d *Detector) scanRows(levels []pyrLevel) []int {
-	wbx, wby := d.cfg.windowBlocks()
-	rows := make([]int, len(levels))
-	for i, l := range levels {
-		if l.fm.BlocksX >= wbx && l.fm.BlocksY >= wby {
-			rows[i] = l.fm.BlocksY - wby + 1
-		}
-	}
-	return rows
 }
 
 // probeLevels runs the configured LevelProbe over the levels about to be
@@ -934,40 +776,41 @@ func (d *Detector) probeLevels(ctx context.Context, levels []pyrLevel) error {
 	return nil
 }
 
-// scanLevels scores every window of every level, sharding levels across
-// window rows over the worker pool. Shard outputs are concatenated in
-// (level, row) order, so the result is exactly the raster-order slice a
+// scanLevels scores every window of every level in fs, sharding levels
+// across window rows over the worker pool. Shard outputs are concatenated
+// in (level, row) order, so the result is exactly the raster-order slice a
 // serial scan produces — detections are byte-identical for every worker
 // count. On cancellation or a worker failure partial output is discarded
 // and the error returned.
-func (d *Detector) scanLevels(ctx context.Context, levels []pyrLevel) ([]eval.Detection, error) {
+func (d *Detector) scanLevels(ctx context.Context, fs *frameScratch) ([]eval.Detection, error) {
+	levels := fs.levels
 	if err := d.probeLevels(ctx, levels); err != nil {
 		return nil, err
 	}
-	rows := d.scanRows(levels)
 	workers := d.cfg.workers()
-	if workers <= 1 {
-		var out []eval.Detection
-		var err error
-		for i, l := range levels {
-			out, err = d.scanLevelRows(ctx, l, 0, rows[i], out)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+	d.shardLevels(fs, workers)
+	shards := fs.shards
+	if n := len(shards) - len(fs.outs); n > 0 {
+		fs.outs = append(fs.outs, make([][]eval.Detection, n)...)
 	}
-	shards := shardLevels(rows, workers)
-	outs := make([][]eval.Detection, len(shards))
-	err := runShards(ctx, shards, workers, func(i int, s rowShard) error {
+	outs := fs.outs[:len(shards)]
+	err := par.Do(ctx, len(shards), workers, func(i int) error {
+		s := shards[i]
 		var err error
-		outs[i], err = d.scanLevelRows(ctx, levels[s.level], s.row0, s.row1, nil)
+		outs[i], err = d.scanLevelRows(ctx, levels[s.level], s.row0, s.row1, outs[i][:0])
 		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	var out []eval.Detection
+	n := 0
+	for _, o := range outs {
+		n += len(o)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]eval.Detection, 0, n)
 	for _, o := range outs {
 		out = append(out, o...)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/eval"
 	"repro/internal/featpyr"
 	"repro/internal/fixed"
 	"repro/internal/geom"
@@ -198,6 +199,10 @@ func TestScoreMapsFollowDetectorMode(t *testing.T) {
 	}
 }
 
+// TestParallelSerialIdenticalDetections: every stage of the hot path — the
+// HOG front end, the pyramid resampling and the scan — splits its work by
+// rows over the workers, and no split may change a bit of the output, in
+// any pyramid mode.
 func TestParallelSerialIdenticalDetections(t *testing.T) {
 	det, g := testDetector(t)
 	scene, err := g.MakeScene(dataset.DefaultSceneConfig())
@@ -209,26 +214,24 @@ func TestParallelSerialIdenticalDetections(t *testing.T) {
 		cfg.Mode = mode
 		cfg.MaxScales = 4
 		cfg.Threshold = -2 // plenty of detections either side of NMS
-		cfg.Workers = 1
-		d1, err := NewDetector(det.Model(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Workers = 8
-		d8, err := NewDetector(det.Model(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r1, err := d1.Detect(scene.Frame)
-		if err != nil {
-			t.Fatalf("%v serial: %v", mode, err)
-		}
-		r8, err := d8.Detect(scene.Frame)
-		if err != nil {
-			t.Fatalf("%v parallel: %v", mode, err)
-		}
-		if !reflect.DeepEqual(r1, r8) {
-			t.Errorf("%v: workers=1 and workers=8 disagree (%d vs %d detections)", mode, len(r1), len(r8))
+		var want []eval.Detection
+		for _, workers := range []int{1, 2, 3, 4, 8} {
+			cfg.Workers = workers
+			d, err := NewDetector(det.Model(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := d.Detect(scene.Frame)
+			if err != nil {
+				t.Fatalf("%v workers=%d: %v", mode, workers, err)
+			}
+			if workers == 1 {
+				want = got
+				continue
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("%v: workers=1 and workers=%d disagree (%d vs %d detections)", mode, workers, len(want), len(got))
+			}
 		}
 	}
 }

@@ -474,12 +474,13 @@ func TestDetectAllocsROI(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		detect(i)
 	}
-	const budget = 32
+	const budget = 20 // measured 1; -race headroom as in TestDetectAllocs
 	i := 0
 	n := testing.AllocsPerRun(21, func() {
 		detect(i)
 		i++
 	})
+	t.Logf("%v allocs/frame", n)
 	if n > budget {
 		t.Errorf("Detect with regions: %v allocs/op in steady state, budget %d", n, budget)
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/imgproc"
+	"repro/internal/par"
 )
 
 // ScoreMap is the dense grid of SVM decision values of one pyramid level:
@@ -82,14 +83,17 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	levels, release, err := d.buildLevels(ctx, frame)
+	fs, err := d.buildLevels(ctx, frame)
 	if err != nil {
 		return nil, err
 	}
-	defer release()
+	defer d.arena.put(fs)
+	levels := fs.levels
 	d.applyRegions(levels)
 	wbx, _ := d.cfg.windowBlocks()
-	rows := d.scanRows(levels)
+	workers := d.cfg.workers()
+	d.shardLevels(fs, workers)
+	rows, shards := fs.rows, fs.shards
 	maps := make([]*ScoreMap, len(levels))
 	for i, l := range levels {
 		if rows[i] < 1 {
@@ -113,7 +117,8 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 			}
 		}
 	}
-	err = runShards(ctx, shardLevels(rows, d.cfg.workers()), d.cfg.workers(), func(_ int, s rowShard) error {
+	err = par.Do(ctx, len(shards), workers, func(i int) error {
+		s := shards[i]
 		l, sm := levels[s.level], maps[s.level]
 		var sc spanScratch
 		err := d.forSpanRows(ctx, l, s.row0, s.row1, func(by, bx0, bx1 int) {

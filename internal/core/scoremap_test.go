@@ -42,9 +42,9 @@ func TestScoreMapsPeakAtPedestrian(t *testing.T) {
 }
 
 // TestScoreMapsMatchScoreWindow checks every ScoreMaps anchor of every
-// pyramid mode against an independent reference: the level rebuilt with
-// buildLevels and scored one window at a time by hog.FeatureMap.ScoreWindow,
-// plus the bias, bit for bit. It runs on both span-kernel dispatch paths and
+// pyramid mode, at workers 1 to 4, against an independent reference: the
+// level rebuilt serially with buildLevels and scored one window at a time
+// by hog.FeatureMap.ScoreWindow, plus the bias, bit for bit. It runs on both span-kernel dispatch paths and
 // through the staged cascade kernel with floors that never reject, so each
 // path behind the shared span scorer stays pinned to the scalar scorer.
 func TestScoreMapsMatchScoreWindow(t *testing.T) {
@@ -59,6 +59,9 @@ func TestScoreMapsMatchScoreWindow(t *testing.T) {
 				cfg := det.Config()
 				cfg.Mode = mode
 				cfg.Cascade = cascade
+				// Every split of the front end, the pyramid and the scan
+				// must score each window like the serial reference.
+				cfg.Workers = 1 + (int(mode)+int(cascade)*2+btoi(kernel)*3)%4
 				model := det.Model()
 				if cascade == CascadeCalibrated {
 					model = withFloors(model, cfg, -math.MaxFloat64)
@@ -71,10 +74,17 @@ func TestScoreMapsMatchScoreWindow(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				levels, release, err := d.buildLevels(context.Background(), frame)
+				serialCfg := cfg
+				serialCfg.Workers = 1
+				ref, err := NewDetector(model, serialCfg)
 				if err != nil {
 					t.Fatal(err)
 				}
+				fs, err := ref.buildLevels(context.Background(), frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				levels := fs.levels
 				if len(levels) != len(maps) {
 					t.Fatalf("%v: %d levels, %d score maps", mode, len(levels), len(maps))
 				}
@@ -92,13 +102,13 @@ func TestScoreMapsMatchScoreWindow(t *testing.T) {
 							}
 							want += model.B
 							if got := sm.At(x, y); math.Float64bits(got) != math.Float64bits(want) {
-								t.Fatalf("kernel=%v %v cascade=%v level %d anchor (%d, %d): ScoreMaps %v, ScoreWindow %v",
-									kernel, mode, cascade, i, x, y, got, want)
+								t.Fatalf("kernel=%v %v cascade=%v workers=%d level %d anchor (%d, %d): ScoreMaps %v, ScoreWindow %v",
+									kernel, mode, cascade, cfg.Workers, i, x, y, got, want)
 							}
 						}
 					}
 				}
-				release()
+				ref.arena.put(fs)
 			}
 		}
 	}
@@ -151,4 +161,11 @@ func abs(v int) int {
 		return -v
 	}
 	return v
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -20,59 +20,25 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
+	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/hog"
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
-// featPool recycles the per-level feature slabs of pyramid construction.
-// Every level of every frame allocates one large float64 slice; at video
-// rate that is the dominant steady-state garbage of the detector, so levels
-// released via Pyramid.Release or ReleaseMap are reused for the next frame.
-var featPool sync.Pool // holds *[]float64
-
-// getFeat returns an n-element slice, recycled when the pool has one large
-// enough. Callers must overwrite every element; recycled contents are stale.
-func getFeat(n int) []float64 {
-	if p, ok := featPool.Get().(*[]float64); ok && cap(*p) >= n {
-		return (*p)[:n]
-	}
-	return make([]float64, n)
-}
-
-// newPooledMap returns a feature map shaped like the given grid whose storage
-// comes from the scratch pool.
-func newPooledMap(bx, by int, src *hog.FeatureMap) *hog.FeatureMap {
+// newMap returns a caller-owned feature map of a bx x by grid with like's
+// block length and HOG configuration.
+func newMap(bx, by int, like *hog.FeatureMap) *hog.FeatureMap {
 	return &hog.FeatureMap{
 		BlocksX:  bx,
 		BlocksY:  by,
-		BlockLen: src.BlockLen,
-		Feat:     getFeat(bx * by * src.BlockLen),
-		Cfg:      src.Cfg,
+		BlockLen: like.BlockLen,
+		Feat:     make([]float64, bx*by*like.BlockLen),
+		Cfg:      like.Cfg,
 	}
-}
-
-// ReleaseMap returns fm's feature storage to the construction scratch pool
-// and detaches it from fm. Call it only when nothing aliases the map any
-// more (slices returned by Block and Window alias it). Releasing nil or an
-// already-released map is a no-op.
-func ReleaseMap(fm *hog.FeatureMap) {
-	if fm == nil || fm.Feat == nil {
-		return
-	}
-	buf := fm.Feat[:0]
-	fm.Feat = nil
-	featPool.Put(&buf)
-}
-
-// clonePooled is hog.FeatureMap.Clone with pool-backed storage.
-func clonePooled(fm *hog.FeatureMap) *hog.FeatureMap {
-	c := *fm
-	c.Feat = getFeat(len(fm.Feat))
-	copy(c.Feat, fm.Feat)
-	return &c
 }
 
 // ScaleConfig controls feature-map resampling.
@@ -89,9 +55,11 @@ type ScaleConfig struct {
 	// down-sampling by factor s, features are multiplied by s^-Lambda.
 	// Zero (the paper's choice) disables the correction.
 	Lambda float64
-	// LevelTimer, if non-nil, receives the wall time of every resample
-	// (one observation per pyramid level built through ScaleMapRatio).
-	// Recording is lock-free and allocation-free; nil disables it.
+	// LevelTimer, if non-nil, receives the time of every resample: one
+	// observation per ScaleMapRatio call and per level a Pyramid
+	// resamples, the latter the sum of the level's row bands' times (so
+	// with parallel bands, the work, not the wall time). Recording is
+	// lock-free and allocation-free; nil disables it.
 	LevelTimer *obs.Histogram
 }
 
@@ -123,46 +91,61 @@ func ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry float64, cfg Sca
 		return nil, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
 	}
 	t0 := time.Now()
-	// Every element of the pooled slab is overwritten below (each output
-	// block is fully assigned), so no zeroing pass is needed.
-	out := newPooledMap(outBX, outBY, fm)
-	sx := rx
-	sy := ry
-	n := fm.BlockLen
-	for oy := 0; oy < outBY; oy++ {
-		fy := (float64(oy)+0.5)*sy - 0.5
-		for ox := 0; ox < outBX; ox++ {
-			fx := (float64(ox)+0.5)*sx - 0.5
-			dst := out.Block(ox, oy)
+	out := newMap(outBX, outBY, fm)
+	resampleRows(out, fm, rx, ry, cfg, 0, outBY)
+	cfg.LevelTimer.Observe(time.Since(t0))
+	return out, nil
+}
+
+// resampleRows writes output block rows [oy0, oy1) of dst by resampling src
+// with source-per-target ratios rx, ry (see ScaleMapRatio), applying the
+// Lambda gain and Renormalize of cfg per block. dst must already hold its
+// grid: BlocksX x BlocksY blocks of src.BlockLen features. Each output
+// block depends on src alone, so any partition of the rows produces the
+// bits of one whole-map call; it is the kernel every float scaler path
+// runs, serially or as a row band of a parallel build.
+func resampleRows(dst, src *hog.FeatureMap, rx, ry float64, cfg ScaleConfig, oy0, oy1 int) {
+	n := src.BlockLen
+	gain := 1.0
+	if cfg.Lambda != 0 {
+		gain = math.Pow(math.Sqrt(rx*ry), -cfg.Lambda)
+	}
+	for oy := oy0; oy < oy1; oy++ {
+		fy := (float64(oy)+0.5)*ry - 0.5
+		for ox := 0; ox < dst.BlocksX; ox++ {
+			fx := (float64(ox)+0.5)*rx - 0.5
+			out := dst.Block(ox, oy)
 			if cfg.Nearest {
-				bx := clampi(int(math.Round(fx)), 0, fm.BlocksX-1)
-				by := clampi(int(math.Round(fy)), 0, fm.BlocksY-1)
-				copy(dst, fm.Block(bx, by))
-				continue
+				bx := clampi(int(math.Round(fx)), 0, src.BlocksX-1)
+				by := clampi(int(math.Round(fy)), 0, src.BlocksY-1)
+				copy(out, src.Block(bx, by))
+			} else {
+				x0 := int(math.Floor(fx))
+				y0 := int(math.Floor(fy))
+				ax := fx - float64(x0)
+				ay := fy - float64(y0)
+				c00 := src.Block(clampi(x0, 0, src.BlocksX-1), clampi(y0, 0, src.BlocksY-1))
+				c10 := src.Block(clampi(x0+1, 0, src.BlocksX-1), clampi(y0, 0, src.BlocksY-1))
+				c01 := src.Block(clampi(x0, 0, src.BlocksX-1), clampi(y0+1, 0, src.BlocksY-1))
+				c11 := src.Block(clampi(x0+1, 0, src.BlocksX-1), clampi(y0+1, 0, src.BlocksY-1))
+				w00 := (1 - ax) * (1 - ay)
+				w10 := ax * (1 - ay)
+				w01 := (1 - ax) * ay
+				w11 := ax * ay
+				for k := 0; k < n; k++ {
+					out[k] = w00*c00[k] + w10*c10[k] + w01*c01[k] + w11*c11[k]
+				}
 			}
-			x0 := int(math.Floor(fx))
-			y0 := int(math.Floor(fy))
-			ax := fx - float64(x0)
-			ay := fy - float64(y0)
-			c00 := fm.Block(clampi(x0, 0, fm.BlocksX-1), clampi(y0, 0, fm.BlocksY-1))
-			c10 := fm.Block(clampi(x0+1, 0, fm.BlocksX-1), clampi(y0, 0, fm.BlocksY-1))
-			c01 := fm.Block(clampi(x0, 0, fm.BlocksX-1), clampi(y0+1, 0, fm.BlocksY-1))
-			c11 := fm.Block(clampi(x0+1, 0, fm.BlocksX-1), clampi(y0+1, 0, fm.BlocksY-1))
-			w00 := (1 - ax) * (1 - ay)
-			w10 := ax * (1 - ay)
-			w01 := (1 - ax) * ay
-			w11 := ax * ay
-			for k := 0; k < n; k++ {
-				dst[k] = w00*c00[k] + w10*c10[k] + w01*c01[k] + w11*c11[k]
+			if cfg.Lambda != 0 {
+				for k := range out {
+					out[k] *= gain
+				}
+			}
+			if cfg.Renormalize {
+				renormalize(out, src.Cfg.Epsilon)
 			}
 		}
 	}
-	applyLambda(out, sx, sy, cfg.Lambda)
-	if cfg.Renormalize {
-		renormalize(out)
-	}
-	cfg.LevelTimer.Observe(time.Since(t0))
-	return out, nil
 }
 
 // ScaleMapBy resamples fm by the given scale factor: factor > 1 shrinks the
@@ -180,36 +163,19 @@ func ScaleMapBy(fm *hog.FeatureMap, factor float64, cfg ScaleConfig) (*hog.Featu
 	return ScaleMap(fm, outBX, outBY, cfg)
 }
 
-func applyLambda(fm *hog.FeatureMap, sx, sy, lambda float64) {
-	if lambda == 0 {
-		return
-	}
-	s := math.Sqrt(sx * sy)
-	gain := math.Pow(s, -lambda)
-	for i := range fm.Feat {
-		fm.Feat[i] *= gain
-	}
-}
-
-// renormalize re-applies L2 normalization to every block of fm in place
-// (the Renormalize option; uses the map's configured epsilon).
-func renormalize(fm *hog.FeatureMap) {
-	eps := fm.Cfg.Epsilon
+// renormalize re-applies L2 normalization to one block in place (the
+// Renormalize option), with the map's configured epsilon.
+func renormalize(b []float64, eps float64) {
 	if eps <= 0 {
 		eps = 1e-3
 	}
-	for by := 0; by < fm.BlocksY; by++ {
-		for bx := 0; bx < fm.BlocksX; bx++ {
-			b := fm.Block(bx, by)
-			var ss float64
-			for _, v := range b {
-				ss += v * v
-			}
-			inv := 1 / math.Sqrt(ss+eps*eps)
-			for i := range b {
-				b[i] *= inv
-			}
-		}
+	var ss float64
+	for _, v := range b {
+		ss += v * v
+	}
+	inv := 1 / math.Sqrt(ss+eps*eps)
+	for i := range b {
+		b[i] *= inv
 	}
 }
 
@@ -234,111 +200,233 @@ type Level struct {
 
 // Pyramid is a HOG feature pyramid: level 0 is the base feature map at the
 // native scale, later levels are progressively down-sampled feature maps.
+//
+// A Pyramid owns the storage of the maps it resamples — map headers and one
+// feature slab — and reuses it on every rebuild, like the hardware's scaler
+// chain writing into fixed buffers: once a pyramid of a given geometry has
+// been built, rebuilding it allocates nothing. Level 0 is the caller's base
+// map itself, not a copy. The maps of a build, and those handed out by Map
+// and Scale, stay valid until the next Build, BuildChained or Reset. The
+// zero value is ready to use; a Pyramid serves one frame at a time.
 type Pyramid struct {
 	Levels []Level
+
+	slab  []float64
+	used  int // slab elements handed out since the last reset
+	need  int // elements requested since the last reset
+	maps  []hog.FeatureMap
+	nmaps int
+
+	// Resampling fan-out: the row bands of the current call, the scale
+	// config they run with, per-level shard time, and the par.Do job,
+	// bound once because a method value built per call would allocate.
+	bands []band
+	cfg   ScaleConfig
+	ns    []atomic.Int64
+	job   func(int) error
 }
 
-// Release returns every level's feature storage to the construction scratch
-// pool so the next pyramid build can reuse it. Call it once scanning is done
-// and nothing aliases the level maps; the pyramid must not be used after.
-func (p *Pyramid) Release() {
-	for i := range p.Levels {
-		ReleaseMap(p.Levels[i].Map)
+// band is one resampling job: output rows [oy0, oy1) of dst, drawn from src.
+// slot indexes the per-level shard-time accumulator.
+type band struct {
+	dst, src *hog.FeatureMap
+	rx, ry   float64
+	oy0, oy1 int
+	slot     int
+}
+
+// bandRows is the height of one resampling job in output block rows: about
+// 0.1 ms of work on a 1080p level, small enough to balance the workers and
+// large enough that dispatch costs nothing.
+const bandRows = 8
+
+// Reset drops every level and map of the previous build, recycling their
+// storage. The slab grows to what the previous build asked for, so a
+// geometry seen once is served from it from then on.
+func (p *Pyramid) Reset() { p.reset(0) }
+
+// reset is Reset, also growing the slab to at least reserve elements.
+func (p *Pyramid) reset(reserve int) {
+	if n := max(p.need, reserve); n > len(p.slab) {
+		p.slab = make([]float64, n)
+	}
+	p.used, p.need, p.nmaps = 0, 0, 0
+	p.Levels = p.Levels[:0]
+}
+
+// Map returns a bx x by map with like's block length and HOG configuration,
+// carved from the pyramid's storage; its features are stale and must all be
+// written. It stays valid until the next Build, BuildChained or Reset.
+func (p *Pyramid) Map(bx, by int, like *hog.FeatureMap) *hog.FeatureMap {
+	n := bx * by * like.BlockLen
+	p.need += n
+	var feat []float64
+	if p.used+n <= len(p.slab) {
+		feat = p.slab[p.used : p.used+n : p.used+n]
+		p.used += n
+	} else {
+		feat = make([]float64, n) // past the slab: the next reset grows it
+	}
+	if p.nmaps == len(p.maps) {
+		// Headers handed out this frame stay in the old array; from the
+		// next reset on, the larger one serves them all.
+		p.maps = make([]hog.FeatureMap, 2*len(p.maps)+8)
+		p.nmaps = 0
+	}
+	m := &p.maps[p.nmaps]
+	p.nmaps++
+	*m = hog.FeatureMap{BlocksX: bx, BlocksY: by, BlockLen: like.BlockLen, Feat: feat, Cfg: like.Cfg}
+	return m
+}
+
+// Scale resamples src to an outBX x outBY map carved from the pyramid's
+// storage (see Map), with explicit source-per-target ratios as in
+// ScaleMapRatio and bit-identical to it. The rows are spread over up to
+// workers goroutines; cfg.LevelTimer gets one observation, the sum of the
+// row bands' times.
+func (p *Pyramid) Scale(ctx context.Context, src *hog.FeatureMap, outBX, outBY int, rx, ry float64, cfg ScaleConfig, workers int) (*hog.FeatureMap, error) {
+	if outBX < 1 || outBY < 1 {
+		return nil, fmt.Errorf("featpyr: invalid target grid %dx%d", outBX, outBY)
+	}
+	if rx <= 0 || ry <= 0 {
+		return nil, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
+	}
+	m := p.Map(outBX, outBY, src)
+	p.bands = p.bands[:0]
+	p.addBands(m, src, rx, ry, 0)
+	if err := p.resample(ctx, cfg, 1, workers); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// addBands queues the row bands of resampling src into dst.
+func (p *Pyramid) addBands(dst, src *hog.FeatureMap, rx, ry float64, slot int) {
+	p.bands = slices.Grow(p.bands, (dst.BlocksY+bandRows-1)/bandRows)
+	for oy := 0; oy < dst.BlocksY; oy += bandRows {
+		p.bands = append(p.bands, band{dst: dst, src: src, rx: rx, ry: ry,
+			oy0: oy, oy1: min(oy+bandRows, dst.BlocksY), slot: slot})
 	}
 }
 
-// Build constructs a feature pyramid from the base map. Each level i holds
-// the base map down-sampled by step^i. Construction stops when a level
-// would be smaller than minBX x minBY blocks (the window size) or after
-// maxLevels levels (0 means unlimited). Every level is resampled directly
-// from the base map to avoid compounding interpolation error; the
-// hardware's chained scaler (Figure 6) is modelled separately in
-// BuildChained and in package hw/scaler.
-func Build(base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig) (*Pyramid, error) {
-	return BuildCtx(context.Background(), base, step, minBX, minBY, maxLevels, cfg)
+// resample runs the queued bands, whose slots lie in [0, levels), on up to
+// workers goroutines and then records each level's summed band time.
+func (p *Pyramid) resample(ctx context.Context, cfg ScaleConfig, levels, workers int) error {
+	if p.job == nil {
+		p.job = p.runBand
+	}
+	if len(p.ns) < levels {
+		p.ns = make([]atomic.Int64, levels)
+	}
+	for i := range p.ns[:levels] {
+		p.ns[i].Store(0)
+	}
+	p.cfg = cfg
+	if err := par.Do(ctx, len(p.bands), workers, p.job); err != nil {
+		return err
+	}
+	for i := range p.ns[:levels] {
+		cfg.LevelTimer.Observe(time.Duration(p.ns[i].Load()))
+	}
+	return nil
 }
 
-// BuildCtx is Build with cooperative cancellation: construction checks ctx
-// between levels and returns ctx.Err() once it is cancelled, releasing any
-// levels already built back to the scratch pool.
-func BuildCtx(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig) (*Pyramid, error) {
+func (p *Pyramid) runBand(i int) error {
+	b := &p.bands[i]
+	t0 := time.Now()
+	resampleRows(b.dst, b.src, b.rx, b.ry, p.cfg, b.oy0, b.oy1)
+	p.ns[b.slot].Add(int64(time.Since(t0)))
+	return nil
+}
+
+// Build rebuilds p as the pyramid of base. Each level i holds the base map
+// down-sampled by step^i. Construction stops when a level would be smaller
+// than minBX x minBY blocks (the window size) or after maxLevels levels (0
+// means unlimited). Level 0 is base itself; every other level is resampled
+// directly from base with cfg, to avoid compounding interpolation error
+// (the hardware's chained scaler of Figure 6 is BuildChained and package
+// hw/scaler). Every level's grid is planned up front, and the (level, row
+// band) jobs of all levels run together on up to workers goroutines; each
+// level's bits do not depend on the split. cfg.LevelTimer gets one
+// observation per resampled level, the sum of its bands' times. On error,
+// including ctx ending mid-build, p's levels are unusable.
+func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig, workers int) error {
 	if step <= 1 {
-		return nil, fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
+		return fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
 	}
 	if maxLevels <= 0 {
 		maxLevels = math.MaxInt32
 	}
-	p := &Pyramid{}
-	for i := 0; i < maxLevels; i++ {
-		if err := ctx.Err(); err != nil {
-			p.Release()
-			return nil, err
-		}
-		s := math.Pow(step, float64(i))
-		outBX := int(math.Round(float64(base.BlocksX) / s))
-		outBY := int(math.Round(float64(base.BlocksY) / s))
-		if outBX < minBX || outBY < minBY {
+	grid := func(i int) (scale float64, bx, by int) {
+		scale = math.Pow(step, float64(i))
+		return scale, int(math.Round(float64(base.BlocksX) / scale)), int(math.Round(float64(base.BlocksY) / scale))
+	}
+	levels, total, bands := 0, 0, 0
+	for ; levels < maxLevels; levels++ {
+		_, bx, by := grid(levels)
+		if bx < minBX || by < minBY {
 			break
 		}
-		var m *hog.FeatureMap
-		var err error
-		if i == 0 {
-			m = clonePooled(base)
-		} else {
-			m, err = ScaleMap(base, outBX, outBY, cfg)
-			if err != nil {
-				return nil, err
-			}
+		if levels > 0 {
+			total += bx * by * base.BlockLen
+			bands += (by + bandRows - 1) / bandRows
 		}
-		p.Levels = append(p.Levels, Level{Scale: s, Map: m})
 	}
-	if len(p.Levels) == 0 {
-		return nil, fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
+	p.reset(total)
+	if levels == 0 {
+		return fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
 			base.BlocksX, base.BlocksY, minBX, minBY)
 	}
-	return p, nil
+	p.Levels = append(slices.Grow(p.Levels, levels), Level{Scale: 1, Map: base})
+	p.bands = slices.Grow(p.bands[:0], bands)
+	for i := 1; i < levels; i++ {
+		scale, bx, by := grid(i)
+		m := p.Map(bx, by, base)
+		p.addBands(m, base, float64(base.BlocksX)/float64(bx), float64(base.BlocksY)/float64(by), i-1)
+		p.Levels = append(p.Levels, Level{Scale: scale, Map: m})
+	}
+	return p.resample(ctx, cfg, levels-1, workers)
 }
 
-// BuildChained constructs the pyramid the way the hardware does (Figure 6):
-// each level is resampled from the *previous* level rather than from the
-// base, so interpolation error compounds down the chain but each scaler
+// BuildChained rebuilds p the way the hardware builds its pyramid (Figure
+// 6): each level is resampled from the *previous* level rather than from
+// the base, so interpolation error compounds down the chain but each scaler
 // only ever handles the fixed step ratio — which is what makes the
-// shift-and-add implementation cheap.
-func BuildChained(base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig) (*Pyramid, error) {
-	return BuildChainedCtx(context.Background(), base, step, minBX, minBY, maxLevels, cfg)
-}
-
-// BuildChainedCtx is BuildChained with cooperative cancellation (see
-// BuildCtx).
-func BuildChainedCtx(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig) (*Pyramid, error) {
+// shift-and-add implementation cheap. Level 0 is base itself. A level
+// depends on the one before, so the levels run in order, each with its rows
+// spread over up to workers goroutines; otherwise it behaves as Build.
+func (p *Pyramid) BuildChained(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig, workers int) error {
 	if step <= 1 {
-		return nil, fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
+		return fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
+	}
+	if base.BlocksX < minBX || base.BlocksY < minBY {
+		return fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
+			base.BlocksX, base.BlocksY, minBX, minBY)
 	}
 	if maxLevels <= 0 {
 		maxLevels = math.MaxInt32
 	}
-	p := &Pyramid{Levels: []Level{{Scale: 1, Map: clonePooled(base)}}}
+	next := func(bx, by int) (int, int) {
+		return int(math.Round(float64(bx) / step)), int(math.Round(float64(by) / step))
+	}
+	levels, total := 1, 0
+	for bx, by := next(base.BlocksX, base.BlocksY); levels < maxLevels && bx >= minBX && by >= minBY; bx, by = next(bx, by) {
+		total += bx * by * base.BlockLen
+		levels++
+	}
+	p.reset(total)
+	p.Levels = append(slices.Grow(p.Levels, levels), Level{Scale: 1, Map: base})
 	prev := base
-	for i := 1; i < maxLevels; i++ {
-		if err := ctx.Err(); err != nil {
-			p.Release()
-			return nil, err
-		}
-		outBX := int(math.Round(float64(prev.BlocksX) / step))
-		outBY := int(math.Round(float64(prev.BlocksY) / step))
-		if outBX < minBX || outBY < minBY {
-			break
-		}
-		m, err := ScaleMap(prev, outBX, outBY, cfg)
-		if err != nil {
-			return nil, err
+	for i := 1; i < levels; i++ {
+		bx, by := next(prev.BlocksX, prev.BlocksY)
+		m := p.Map(bx, by, prev)
+		p.bands = p.bands[:0]
+		p.addBands(m, prev, float64(prev.BlocksX)/float64(bx), float64(prev.BlocksY)/float64(by), 0)
+		if err := p.resample(ctx, cfg, 1, workers); err != nil {
+			return err
 		}
 		p.Levels = append(p.Levels, Level{Scale: math.Pow(step, float64(i)), Map: m})
 		prev = m
 	}
-	if base.BlocksX < minBX || base.BlocksY < minBY {
-		return nil, fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
-			base.BlocksX, base.BlocksY, minBX, minBY)
-	}
-	return p, nil
+	return nil
 }

@@ -1,6 +1,7 @@
 package featpyr
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/hog"
 	"repro/internal/imgproc"
+	"repro/internal/obs"
 )
 
 func randomMap(t *testing.T, w, h int, seed int64) *hog.FeatureMap {
@@ -230,16 +232,17 @@ func cosine(a, b []float64) float64 {
 }
 
 func TestBuildPyramidLevels(t *testing.T) {
+	ctx := context.Background()
 	fm := randomMap(t, 512, 512, 9) // 64x64 blocks
-	p, err := Build(fm, 1.1, 8, 16, 0, ScaleConfig{})
-	if err != nil {
+	var p Pyramid
+	if err := p.Build(ctx, fm, 1.1, 8, 16, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Levels) < 10 {
 		t.Fatalf("only %d levels from 64x64 down to 8x16", len(p.Levels))
 	}
-	if p.Levels[0].Scale != 1 {
-		t.Error("level 0 must be native scale")
+	if p.Levels[0].Scale != 1 || p.Levels[0].Map != fm {
+		t.Error("level 0 must be the base map itself, at native scale")
 	}
 	for i := 1; i < len(p.Levels); i++ {
 		l, prev := p.Levels[i], p.Levels[i-1]
@@ -254,8 +257,8 @@ func TestBuildPyramidLevels(t *testing.T) {
 		}
 	}
 	// maxLevels cap works.
-	p2, err := Build(fm, 1.1, 8, 16, 2, ScaleConfig{})
-	if err != nil {
+	var p2 Pyramid
+	if err := p2.Build(ctx, fm, 1.1, 8, 16, 2, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(p2.Levels) != 2 {
@@ -263,22 +266,25 @@ func TestBuildPyramidLevels(t *testing.T) {
 	}
 	// Base smaller than window errors.
 	small := randomMap(t, 64, 64, 10) // 8x8 blocks < 8x16 window
-	if _, err := Build(small, 1.1, 8, 16, 0, ScaleConfig{}); err == nil {
+	if err := p2.Build(ctx, small, 1.1, 8, 16, 0, ScaleConfig{}, 1); err == nil {
 		t.Error("under-window base should error")
 	}
-	if _, err := Build(fm, 1.0, 8, 16, 0, ScaleConfig{}); err == nil {
+	if err := p2.BuildChained(ctx, small, 1.1, 8, 16, 0, ScaleConfig{}, 1); err == nil {
+		t.Error("under-window base should error when chained too")
+	}
+	if err := p2.Build(ctx, fm, 1.0, 8, 16, 0, ScaleConfig{}, 1); err == nil {
 		t.Error("step 1.0 should error")
 	}
 }
 
 func TestBuildChainedMatchesDirectApproximately(t *testing.T) {
+	ctx := context.Background()
 	fm := randomMap(t, 256, 512, 11)
-	direct, err := Build(fm, 1.2, 8, 16, 4, ScaleConfig{})
-	if err != nil {
+	var direct, chained Pyramid
+	if err := direct.Build(ctx, fm, 1.2, 8, 16, 4, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
-	chained, err := BuildChained(fm, 1.2, 8, 16, 4, ScaleConfig{})
-	if err != nil {
+	if err := chained.BuildChained(ctx, fm, 1.2, 8, 16, 4, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(direct.Levels) != len(chained.Levels) {
@@ -297,6 +303,150 @@ func TestBuildChainedMatchesDirectApproximately(t *testing.T) {
 		cos := cosine(d.Feat, c.Feat)
 		if cos < 0.95 {
 			t.Errorf("level %d chained/direct cosine %.4f < 0.95", i, cos)
+		}
+	}
+}
+
+// sameBits reports the first index at which a and b differ in bits, or -1.
+func sameBits(a, b []float64) int {
+	if len(a) != len(b) {
+		return 0
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// scaleConfigs are the float scaler variants whose arithmetic the row-band
+// split must preserve: plain bilinear, the power-law gain, renormalization,
+// and nearest neighbour.
+var scaleConfigs = map[string]ScaleConfig{
+	"bilinear":    {},
+	"lambda":      {Lambda: 0.11},
+	"renormalize": {Renormalize: true, Lambda: -0.3},
+	"nearest":     {Nearest: true, Lambda: 0.2},
+}
+
+// TestResampleRowsAnySplitBitIdentical pins the row-range resampler: any
+// partition of the output rows into bands, in any order, reproduces the
+// whole-map resample bit for bit.
+func TestResampleRowsAnySplitBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	src := randomMap(t, 200, 328, 40)
+	for name, cfg := range scaleConfigs {
+		for _, grid := range [][2]int{{19, 33}, {7, 1}, {25, 41}} {
+			rx := float64(src.BlocksX) / float64(grid[0]) * 1.03
+			ry := float64(src.BlocksY) / float64(grid[1])
+			want, err := ScaleMapRatio(src, grid[0], grid[1], rx, ry, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for trial := 0; trial < 5; trial++ {
+				got := newMap(grid[0], grid[1], src)
+				for i := range got.Feat {
+					got.Feat[i] = math.NaN() // every element must be written
+				}
+				var cuts []int
+				for y := 1; y < grid[1]; y++ {
+					if rng.Intn(3) == 0 {
+						cuts = append(cuts, y)
+					}
+				}
+				cuts = append(append([]int{0}, cuts...), grid[1])
+				for _, b := range rng.Perm(len(cuts) - 1) {
+					resampleRows(got, src, rx, ry, cfg, cuts[b], cuts[b+1])
+				}
+				if i := sameBits(got.Feat, want.Feat); i >= 0 {
+					t.Fatalf("%s %v cuts %v: feature %d = %v, whole-map %v", name, grid, cuts, i, got.Feat[i], want.Feat[i])
+				}
+			}
+		}
+	}
+}
+
+// TestPyramidBuildMatchesScaleMap pins the parallel builds to the
+// single-map scaler bit for bit at every worker count: a direct level is
+// ScaleMap of the base, a chained level ScaleMap of the level before. The
+// level timer gets exactly one observation per resampled level.
+func TestPyramidBuildMatchesScaleMap(t *testing.T) {
+	ctx := context.Background()
+	base := randomMap(t, 264, 400, 42)
+	for name, cfg := range scaleConfigs {
+		for _, workers := range []int{1, 2, 3, 8} {
+			var p Pyramid
+			for _, chained := range []bool{false, true} {
+				timer := new(obs.Histogram)
+				cfg.LevelTimer = timer
+				build := p.Build
+				if chained {
+					build = p.BuildChained
+				}
+				if err := build(ctx, base, 1.15, 8, 16, 0, cfg, workers); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := timer.Snapshot().Count, uint64(len(p.Levels)-1); got != want {
+					t.Errorf("%s workers=%d chained=%v: %d level timings for %d resampled levels", name, workers, chained, got, want)
+				}
+				cfg.LevelTimer = nil
+				prev := base
+				for i, l := range p.Levels[1:] {
+					src := base
+					if chained {
+						src = prev
+					}
+					want, err := ScaleMap(src, l.Map.BlocksX, l.Map.BlocksY, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if j := sameBits(l.Map.Feat, want.Feat); j >= 0 {
+						t.Fatalf("%s workers=%d chained=%v level %d: feature %d differs from ScaleMap", name, workers, chained, i+1, j)
+					}
+					prev = l.Map
+				}
+			}
+		}
+	}
+}
+
+// TestPyramidRebuildReusesStorage: a rebuild of the same geometry reuses
+// the pyramid's slab and headers — it allocates nothing at workers=1 — and
+// reproduces the first build's features exactly, whatever the previous
+// frame left in the storage.
+func TestPyramidRebuildReusesStorage(t *testing.T) {
+	ctx := context.Background()
+	base := randomMap(t, 320, 400, 31)
+	other := randomMap(t, 320, 400, 30)
+	var p Pyramid
+	if err := p.Build(ctx, base, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	snap := make([][]float64, len(p.Levels))
+	for i, l := range p.Levels {
+		snap[i] = append([]float64(nil), l.Map.Feat...)
+	}
+	slab := &p.Levels[1].Map.Feat[0]
+	if err := p.Build(ctx, other, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(5, func() {
+		if err := p.Build(ctx, base, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("rebuild: %v allocs/op, want 0", n)
+	}
+	if &p.Levels[1].Map.Feat[0] != slab {
+		t.Error("rebuild moved level 1 off the pyramid's slab")
+	}
+	if len(p.Levels) != len(snap) {
+		t.Fatalf("rebuild has %d levels, want %d", len(p.Levels), len(snap))
+	}
+	for i, l := range p.Levels {
+		if j := sameBits(l.Map.Feat, snap[i]); j >= 0 {
+			t.Fatalf("level %d feature %d changed on rebuild over reused storage", i, j)
 		}
 	}
 }
@@ -427,5 +577,37 @@ func TestScaleMapRatioRejectsBadRatios(t *testing.T) {
 	}
 	if _, _, err := NewFixedScaler().ScaleMapRatio(fm, 8, 16, -1, 1); err == nil {
 		t.Error("negative ratio should error in the fixed scaler too")
+	}
+}
+
+// TestFixedScalerPooledScratch: the quantized-input scratch is pooled
+// across calls, and ScaleInto overwrites every feature of a reused map, so
+// repeated scaling into dirty storage reproduces a fresh ScaleMap exactly.
+func TestFixedScalerPooledScratch(t *testing.T) {
+	base := randomMap(t, 256, 320, 33)
+	s := NewFixedScaler()
+	a, _, err := s.ScaleMapBy(base, 1.2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := newMap(a.BlocksX, a.BlocksY, base)
+	for i := range dst.Feat {
+		dst.Feat[i] = math.NaN()
+	}
+	for pass := 0; pass < 2; pass++ {
+		if _, err := s.ScaleInto(dst, base, float64(base.BlocksX)/float64(a.BlocksX), float64(base.BlocksY)/float64(a.BlocksY)); err != nil {
+			t.Fatal(err)
+		}
+		if j := sameBits(dst.Feat, a.Feat); j >= 0 {
+			t.Fatalf("pass %d: feature %d = %v, ScaleMap %v", pass, j, dst.Feat[j], a.Feat[j])
+		}
+	}
+	if _, err := s.ScaleInto(newMap(3, 3, base), base, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	bad := newMap(3, 3, base)
+	bad.Feat = bad.Feat[:5]
+	if _, err := s.ScaleInto(bad, base, 1, 1); err == nil {
+		t.Error("a target map whose storage does not fit its grid should error")
 	}
 }

@@ -76,14 +76,31 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 	if outBX < 1 || outBY < 1 {
 		return nil, nil, fmt.Errorf("featpyr: invalid target grid %dx%d", outBX, outBY)
 	}
-	if rx <= 0 || ry <= 0 {
-		return nil, nil, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
-	}
-	if err := s.FeatFmt.Validate(); err != nil {
+	out := newMap(outBX, outBY, fm)
+	stats, err := s.ScaleInto(out, fm, rx, ry)
+	if err != nil {
 		return nil, nil, err
 	}
+	return out, stats, nil
+}
+
+// ScaleInto is ScaleMapRatio writing into caller storage: dst must hold its
+// target grid, BlocksX x BlocksY blocks of fm.BlockLen features (a map from
+// Pyramid.Map, say), and every feature is overwritten.
+func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (*ScaleStats, error) {
+	outBX, outBY := dst.BlocksX, dst.BlocksY
+	if outBX < 1 || outBY < 1 || dst.BlockLen != fm.BlockLen || len(dst.Feat) != outBX*outBY*fm.BlockLen {
+		return nil, fmt.Errorf("featpyr: target map %dx%d with %d features does not fit blocks of %d",
+			outBX, outBY, len(dst.Feat), fm.BlockLen)
+	}
+	if rx <= 0 || ry <= 0 {
+		return nil, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
+	}
+	if err := s.FeatFmt.Validate(); err != nil {
+		return nil, err
+	}
 	if s.WeightFrac < 1 || s.WeightFrac > 30 {
-		return nil, nil, fmt.Errorf("featpyr: weight frac %d out of range", s.WeightFrac)
+		return nil, fmt.Errorf("featpyr: weight frac %d out of range", s.WeightFrac)
 	}
 	// Quantize the whole input map once (in hardware the features already
 	// arrive in this format from the HOG normalizer).
@@ -95,8 +112,6 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 	for i, v := range fm.Feat {
 		qf[i] = s.FeatFmt.FromFloat(v)
 	}
-	// Every element of the pooled output is assigned below.
-	out := newPooledMap(outBX, outBY, fm)
 	stats := &ScaleStats{OutputBlocks: outBX * outBY}
 
 	sx := rx
@@ -145,16 +160,16 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 			c10 := block(x0+1, y0)
 			c01 := block(x0, y0+1)
 			c11 := block(x0+1, y0+1)
-			dst := out.Block(ox, oy)
+			b := dst.Block(ox, oy)
 			for k := 0; k < n; k++ {
 				acc := nets[0].Apply(c00[k]) + nets[1].Apply(c10[k]) +
 					nets[2].Apply(c01[k]) + nets[3].Apply(c11[k])
-				dst[k] = s.FeatFmt.ToFloat(s.FeatFmt.Sat(acc))
+				b[k] = s.FeatFmt.ToFloat(s.FeatFmt.Sat(acc))
 			}
 		}
 	}
 	stats.Phases = len(cache)
-	return out, stats, nil
+	return stats, nil
 }
 
 // ScaleMapBy is the factor-based variant of ScaleMap.

@@ -1,10 +1,12 @@
 package hog
 
 import (
+	"context"
 	"fmt"
 	"math"
 
 	"repro/internal/imgproc"
+	"repro/internal/par"
 )
 
 // FeatureMap holds the dense normalized HOG features of a frame: one
@@ -39,7 +41,7 @@ func (fm *FeatureMap) Clone() *FeatureMap {
 // reusable-storage variant.
 func Normalize(grid *CellGrid, cfg Config) (*FeatureMap, error) {
 	fm := &FeatureMap{}
-	if err := NormalizeInto(grid, cfg, fm); err != nil {
+	if err := NormalizeInto(grid, cfg, fm, 1); err != nil {
 		return nil, err
 	}
 	return fm, nil
@@ -47,8 +49,19 @@ func Normalize(grid *CellGrid, cfg Config) (*FeatureMap, error) {
 
 // NormalizeInto assembles and normalizes the block feature map into fm,
 // reusing fm's feature storage when it is large enough (growing it
-// otherwise). Steady-state calls with a same-shaped grid allocate nothing.
-func NormalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap) error {
+// otherwise), with block rows spread over up to `workers` goroutines (<= 1
+// means serial). Every block is normalized on its own, so the map is
+// byte-identical at every worker count. Steady-state calls with a
+// same-shaped grid allocate nothing.
+func NormalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap, workers int) error {
+	s := scratchPool.Get().(*Scratch)
+	err := s.normalizeInto(grid, cfg, fm, workers)
+	scratchPool.Put(s)
+	return err
+}
+
+// normalizeInto is NormalizeInto on s's fan-out context.
+func (s *Scratch) normalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap, workers int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -78,31 +91,49 @@ func NormalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap) error {
 	fm.BlocksX, fm.BlocksY, fm.BlockLen = bx, by, blockLen
 	fm.Feat = fm.Feat[:n]
 	fm.Cfg = cfg
-	bins := cfg.Bins
+	s.nc = normCtx{grid: grid, fm: fm, perCell: perCell}
+	err := par.Do(context.TODO(), by, workers, s.normJob)
+	s.nc = normCtx{} // drop the caller's maps: s may go back to a pool
+	if err != nil {
+		return fmt.Errorf("hog: normalize: %w", err)
+	}
+	return nil
+}
+
+// normCtx is the shared state of one block-normalization fan-out.
+type normCtx struct {
+	grid    *CellGrid
+	fm      *FeatureMap
+	perCell bool
+}
+
+// rowJob assembles and normalizes block row y.
+func (nc *normCtx) rowJob(y int) error {
+	grid, fm := nc.grid, nc.fm
+	cfg := &fm.Cfg
+	bins, bx, blockLen := cfg.Bins, fm.BlocksX, fm.BlockLen
 	maxCX, maxCY := grid.CellsX-1, grid.CellsY-1
-	for y := 0; y < by; y++ {
-		for x := 0; x < bx; x++ {
-			dst := fm.Feat[(y*bx+x)*blockLen : (y*bx+x+1)*blockLen]
-			// Gather the BlockCells x BlockCells cell histograms.
-			k := 0
-			for cy := 0; cy < cfg.BlockCells; cy++ {
-				for cx := 0; cx < cfg.BlockCells; cx++ {
-					gx, gy := x+cx, y+cy
-					if perCell {
-						// Edge blocks replicate the border cells.
-						if gx > maxCX {
-							gx = maxCX
-						}
-						if gy > maxCY {
-							gy = maxCY
-						}
+	for x := 0; x < bx; x++ {
+		dst := fm.Feat[(y*bx+x)*blockLen : (y*bx+x+1)*blockLen]
+		// Gather the BlockCells x BlockCells cell histograms.
+		k := 0
+		for cy := 0; cy < cfg.BlockCells; cy++ {
+			for cx := 0; cx < cfg.BlockCells; cx++ {
+				gx, gy := x+cx, y+cy
+				if nc.perCell {
+					// Edge blocks replicate the border cells.
+					if gx > maxCX {
+						gx = maxCX
 					}
-					copy(dst[k:k+bins], grid.At(gx, gy))
-					k += bins
+					if gy > maxCY {
+						gy = maxCY
+					}
 				}
+				copy(dst[k:k+bins], grid.At(gx, gy))
+				k += bins
 			}
-			normalizeBlock(dst, cfg)
 		}
+		normalizeBlock(dst, *cfg)
 	}
 	return nil
 }

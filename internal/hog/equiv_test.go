@@ -265,3 +265,61 @@ func TestComputeCellsIntoReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestComputeIntoWorkerSplitsBitIdentical pins the parallel front end —
+// luminance rows, cell bands and block-row normalization — to the serial
+// one bit for bit, for every layout and norm, on frames whose pixel and
+// cell row counts divide neither the band height nor any worker count,
+// down to a map one block row tall.
+func TestComputeIntoWorkerSplitsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	// 59 px = 7 cell rows, 109 px = 13 cell rows; 13 px is one cell row
+	// (one per-cell block row), 19 px two (one overlap block row).
+	var frames []*imgproc.Gray
+	for _, h := range []int{59, 109, 13, 19} {
+		img := imgproc.NewGray(77, h)
+		for i := range img.Pix {
+			img.Pix[i] = uint8(rng.Intn(256))
+		}
+		frames = append(frames, img)
+	}
+	for _, layout := range []Layout{LayoutOverlap, LayoutPerCell} {
+		for _, norm := range []Norm{L2Hys, L2, L1Sqrt} {
+			for _, extra := range []string{"plain", "gamma", "interp"} {
+				cfg := DefaultConfig()
+				cfg.Layout, cfg.Norm = layout, norm
+				cfg.SqrtGamma = extra == "gamma"
+				cfg.InterpolateCells = extra == "interp"
+				for _, img := range frames {
+					label := fmt.Sprintf("layout=%v norm=%v %s %dx%d", layout, norm, extra, img.W, img.H)
+					want, err := ComputeInto(img, cfg, NewScratch(), 1)
+					if err != nil {
+						if layout == LayoutOverlap && img.H < 2*cfg.CellSize {
+							continue // one cell row forms no overlap block
+						}
+						t.Fatalf("%s: %v", label, err)
+					}
+					for _, workers := range []int{2, 3, 5, 8} {
+						s := NewScratch()
+						for pass := 0; pass < 2; pass++ { // cold, then warm scratch
+							got, err := ComputeInto(img, cfg, s, workers)
+							if err != nil {
+								t.Fatalf("%s workers=%d: %v", label, workers, err)
+							}
+							if got.BlocksX != want.BlocksX || got.BlocksY != want.BlocksY {
+								t.Fatalf("%s workers=%d: map %dx%d, serial %dx%d", label, workers,
+									got.BlocksX, got.BlocksY, want.BlocksX, want.BlocksY)
+							}
+							for i := range want.Feat {
+								if math.Float64bits(got.Feat[i]) != math.Float64bits(want.Feat[i]) {
+									t.Fatalf("%s workers=%d pass %d: feat[%d] = %.17g, serial %.17g",
+										label, workers, pass, i, got.Feat[i], want.Feat[i])
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -1,12 +1,12 @@
 package hog
 
 import (
+	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/imgproc"
+	"repro/internal/par"
 )
 
 // This file holds the fused cell-histogramming fast path: the software
@@ -218,6 +218,9 @@ func (t *binTable) bin(gx, gy float64) (b0, b1 int, alpha float64) {
 
 // fusedCtx is the shared read-only state of one fused histogramming pass.
 type fusedCtx struct {
+	pix            []uint8
+	lut            *[256]float64
+	lumRows        int // pixel rows per luminance job
 	lum            []float64
 	w, h           int
 	cell           int
@@ -234,39 +237,32 @@ type fusedCtx struct {
 
 // computeCellsImpl runs the fused pass over img into dst, using s for
 // luminance/halo/threshold scratch. dst.Hist must already have the right
-// length; its contents are overwritten. workers bounds the band-level
-// parallelism; every worker count yields byte-identical histograms.
+// length; its contents are overwritten. workers bounds the parallelism of
+// the luminance rows and the cell bands; every worker count yields
+// byte-identical histograms.
 func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, workers int) error {
 	w, h := img.W, img.H
 	cellsX, cellsY := dst.CellsX, dst.CellsY
 	if s.bt.bins != cfg.Bins {
 		s.bt.init(cfg.Bins)
 	}
-
-	// Luminance plane, table-driven, gamma branch hoisted to table choice.
 	if cap(s.lum) < w*h {
 		s.lum = make([]float64, w*h)
 	}
-	lum := s.lum[:w*h]
 	lut := &lumLUT
 	if cfg.SqrtGamma {
 		lut = &lumLUTGamma
 	}
-	// Index by the claimed dimensions, not len(Pix): a pixel buffer shorter
-	// than its header must panic here (the streaming runtime converts that
-	// to a per-frame PanicError), exactly like the reference's accessor.
-	pix := img.Pix[:w*h]
-	for i, v := range pix {
-		lum[i] = lut[v]
-	}
-
-	for i := range dst.Hist {
-		dst.Hist[i] = 0
-	}
-
 	fc := &s.fc
 	*fc = fusedCtx{
-		lum:     lum,
+		// Index by the claimed dimensions, not len(Pix), and do it here on
+		// the calling goroutine: a pixel buffer shorter than its header must
+		// panic in the caller (the streaming runtime converts that to a
+		// per-frame PanicError), exactly like the reference's accessor,
+		// rather than inside a pool worker.
+		pix:     img.Pix[:w*h],
+		lut:     lut,
+		lum:     s.lum[:w*h],
 		w:       w,
 		h:       h,
 		cell:    cfg.CellSize,
@@ -287,46 +283,17 @@ func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, 
 			s.halo = make([]float64, n)
 		}
 		fc.halo = s.halo[:n]
-		for i := range fc.halo {
-			fc.halo[i] = 0
-		}
 	}
 
-	if workers > fc.numBands {
-		workers = fc.numBands
+	// Luminance plane, table-driven, split into one run of pixel rows per
+	// worker (every pixel converts independently).
+	parts := max(workers, 1)
+	fc.lumRows = (h + parts - 1) / parts
+	if err := par.Do(context.TODO(), (h+fc.lumRows-1)/fc.lumRows, workers, s.lumJob); err != nil {
+		return fmt.Errorf("hog: luminance: %w", err)
 	}
-	if workers <= 1 {
-		for b := 0; b < fc.numBands; b++ {
-			fc.band(b)
-		}
-	} else {
-		var next int32
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				defer func() {
-					if r := recover(); r != nil {
-						errs[i] = fmt.Errorf("hog: band worker panic: %v", r)
-					}
-				}()
-				for {
-					b := int(atomic.AddInt32(&next, 1)) - 1
-					if b >= fc.numBands || errs[i] != nil {
-						return
-					}
-					fc.band(b)
-				}
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return err
-			}
-		}
+	if err := par.Do(context.TODO(), fc.numBands, workers, s.bandJob); err != nil {
+		return fmt.Errorf("hog: cell bands: %w", err)
 	}
 
 	// Deterministic halo merge: ascending band order, top halo before
@@ -347,6 +314,18 @@ func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, 
 	return nil
 }
 
+// lumJob converts pixel rows [i*lumRows, (i+1)*lumRows) to luminance.
+func (fc *fusedCtx) lumJob(i int) error {
+	y0 := i * fc.lumRows
+	y1 := min(y0+fc.lumRows, fc.h)
+	lut := fc.lut
+	lum := fc.lum[y0*fc.w : y1*fc.w]
+	for k, v := range fc.pix[y0*fc.w : y1*fc.w] {
+		lum[k] = lut[v]
+	}
+	return nil
+}
+
 func addRow(dst, src []float64) {
 	for i, v := range src {
 		dst[i] += v
@@ -354,30 +333,35 @@ func addRow(dst, src []float64) {
 }
 
 // band histograms the pixel rows of cell-row band b.
-func (fc *fusedCtx) band(b int) {
+func (fc *fusedCtx) band(b int) error {
 	r0 := b * bandCellRows
 	r1 := r0 + bandCellRows
 	if r1 > fc.cellsY {
 		r1 = fc.cellsY
 	}
 	y0, y1 := r0*fc.cell, r1*fc.cell
+	rowLen := fc.cellsX * fc.bins
+	// The band owns its cell rows and halo rows, so it clears them itself.
+	clear(fc.hist[r0*rowLen : r1*rowLen])
 	if fc.interp {
-		rowLen := fc.cellsX * fc.bins
 		top := fc.halo[b*2*rowLen : b*2*rowLen+rowLen]
 		bot := fc.halo[b*2*rowLen+rowLen : (b+1)*2*rowLen]
+		clear(top)
+		clear(bot)
 		for y := y0; y < y1; y++ {
 			fc.rowInterp(y, r0, r1, top, bot)
 		}
-		return
+		return nil
 	}
 	for y := y0; y < y1; y++ {
-		histRow := fc.hist[(y/fc.cell)*fc.cellsX*fc.bins:]
+		histRow := fc.hist[(y/fc.cell)*rowLen:]
 		if y == 0 || y+1 >= fc.h {
 			fc.rowBorder(y, histRow)
 		} else {
 			fc.rowInterior(y, histRow)
 		}
 	}
+	return nil
 }
 
 // vote accumulates one gradient into a cell histogram slice. It is a

@@ -22,8 +22,7 @@ import (
 //     next ...Into call on the same Scratch.
 //   - A Scratch serves one frame at a time; concurrent frames need
 //     distinct Scratches (core.Arena pools them per in-flight frame).
-//   - Never hand scratch-owned maps to featpyr.ReleaseMap: the feature
-//     slab belongs to the arena, not to featpyr's level pool.
+//   - Build one with NewScratch; the zero value has no fan-out jobs.
 type Scratch struct {
 	// Metrics, if non-nil, receives the front end's stage timings
 	// (StageHOGCells, StageHOGNorm). The detect path sets it on arena
@@ -37,15 +36,24 @@ type Scratch struct {
 	grid CellGrid
 	fm   FeatureMap
 	bt   binTable
-	// fc is the per-pass context; it lives here (not on the stack) because
-	// the band workers capture it, which would otherwise heap-allocate it
-	// on every frame.
-	fc fusedCtx
+	// fc and nc are the per-pass contexts of the cell and normalization
+	// fan-outs; lumJob, bandJob and normJob are their par.Do jobs, bound
+	// once by NewScratch because a method value built per frame would
+	// allocate.
+	fc                       fusedCtx
+	nc                       normCtx
+	lumJob, bandJob, normJob func(int) error
 }
 
 // NewScratch returns an empty arena; buffers grow on first use and are
 // retained afterwards.
-func NewScratch() *Scratch { return &Scratch{} }
+func NewScratch() *Scratch {
+	s := &Scratch{}
+	s.lumJob = s.fc.lumJob
+	s.bandJob = s.fc.band
+	s.normJob = s.nc.rowJob
+	return s
+}
 
 // scratchPool recycles arenas for the allocating convenience entry points
 // (ComputeCells, Compute), which still return caller-owned results but
@@ -67,9 +75,9 @@ func checkCells(img *imgproc.Gray, cfg Config) (cellsX, cellsY int, err error) {
 }
 
 // ComputeCellsInto computes dense cell histograms into s's reusable grid
-// using the fused fast path, parallelized over cell-row bands by up to
-// `workers` goroutines (<= 1 means serial; results are byte-identical at
-// every worker count). The returned grid aliases s.
+// using the fused fast path, parallelized over luminance rows and cell-row
+// bands by up to `workers` goroutines (<= 1 means serial; results are
+// byte-identical at every worker count). The returned grid aliases s.
 func ComputeCellsInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*CellGrid, error) {
 	cellsX, cellsY, err := checkCells(img, cfg)
 	if err != nil {
@@ -90,15 +98,15 @@ func ComputeCellsInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*
 }
 
 // ComputeInto runs the full fused pipeline (cells + block normalization)
-// into s's reusable buffers. The returned map aliases s; see the Scratch
-// ownership rules.
+// into s's reusable buffers, both stages on up to `workers` goroutines. The
+// returned map aliases s; see the Scratch ownership rules.
 func ComputeInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*FeatureMap, error) {
 	grid, err := ComputeCellsInto(img, cfg, s, workers)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	if err := NormalizeInto(grid, cfg, &s.fm); err != nil {
+	if err := s.normalizeInto(grid, cfg, &s.fm, workers); err != nil {
 		return nil, err
 	}
 	s.Metrics.Observe(obs.StageHOGNorm, time.Since(t0))

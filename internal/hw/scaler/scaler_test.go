@@ -1,6 +1,7 @@
 package scaler
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,8 +131,8 @@ func TestChainApproximatesFloatPyramid(t *testing.T) {
 		t.Fatalf("want 2 stages, got %d", len(ch.Stages))
 	}
 	floatBase := toFloatMap(native)
-	p, err := featpyr.BuildChained(floatBase, 1.3, 8, 16, 3, featpyr.ScaleConfig{})
-	if err != nil {
+	var p featpyr.Pyramid
+	if err := p.BuildChained(context.Background(), floatBase, 1.3, 8, 16, 3, featpyr.ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i, s := range ch.Stages {

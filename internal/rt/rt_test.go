@@ -3,6 +3,7 @@ package rt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -149,60 +150,82 @@ func TestShedUnderStallAndRecover(t *testing.T) {
 // than its header claims panics inside feature extraction; the runtime
 // converts it to a per-frame error and keeps scanning.
 func TestPoisonFrameDoesNotKillStream(t *testing.T) {
-	det, frame := testDetector(t, nil)
-	p, err := New(det, Config{Deadline: 10 * time.Second})
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			det, frame := testDetector(t, nil)
+			det = withWorkers(t, det, workers)
+			p, err := New(det, Config{Deadline: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+
+			if r := step(t, p, frame); r.Err != nil {
+				t.Fatalf("clean frame: %v", r.Err)
+			}
+			poison := faultinject.TruncatePix(frame, len(frame.Pix)/2)
+			r := step(t, p, poison)
+			if r.Err == nil {
+				t.Fatal("poison frame produced no error")
+			}
+			var pe *PanicError
+			if !errors.As(r.Err, &pe) {
+				t.Fatalf("poison frame error %v, want *PanicError", r.Err)
+			}
+			if r := step(t, p, frame); r.Err != nil {
+				t.Fatalf("stream did not continue after poison frame: %v", r.Err)
+			}
+			s := p.Stats()
+			if s.Panics != 1 || s.Errors != 1 {
+				t.Errorf("panics/errors = %d/%d, want 1/1", s.Panics, s.Errors)
+			}
+			if s.FramesOut != 3 {
+				t.Errorf("frames out %d, want 3", s.FramesOut)
+			}
+			if s.Rung != 0 {
+				t.Errorf("rung %d: poison frames must not trigger degradation", s.Rung)
+			}
+		})
+	}
+}
+
+// withWorkers rebuilds det with cfg.Workers = workers.
+func withWorkers(t *testing.T, det *core.Detector, workers int) *core.Detector {
+	t.Helper()
+	cfg := det.Config()
+	cfg.Workers = workers
+	d, err := core.NewDetector(det.Model(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
-
-	if r := step(t, p, frame); r.Err != nil {
-		t.Fatalf("clean frame: %v", r.Err)
-	}
-	poison := faultinject.TruncatePix(frame, len(frame.Pix)/2)
-	r := step(t, p, poison)
-	if r.Err == nil {
-		t.Fatal("poison frame produced no error")
-	}
-	var pe *PanicError
-	if !errors.As(r.Err, &pe) {
-		t.Fatalf("poison frame error %v, want *PanicError", r.Err)
-	}
-	if r := step(t, p, frame); r.Err != nil {
-		t.Fatalf("stream did not continue after poison frame: %v", r.Err)
-	}
-	s := p.Stats()
-	if s.Panics != 1 || s.Errors != 1 {
-		t.Errorf("panics/errors = %d/%d, want 1/1", s.Panics, s.Errors)
-	}
-	if s.FramesOut != 3 {
-		t.Errorf("frames out %d, want 3", s.FramesOut)
-	}
-	if s.Rung != 0 {
-		t.Errorf("rung %d: poison frames must not trigger degradation", s.Rung)
-	}
+	return d
 }
 
 // TestPoisonScalePanicIsRecovered: a panic injected at a specific pyramid
 // level (rather than a corrupt buffer) is also confined to its frame.
 func TestPoisonScalePanicIsRecovered(t *testing.T) {
-	faults := faultinject.New()
-	det, frame := testDetector(t, faults)
-	p, err := New(det, Config{Deadline: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			faults := faultinject.New()
+			det, frame := testDetector(t, faults)
+			det = withWorkers(t, det, workers)
+			p, err := New(det, Config{Deadline: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
 
-	faults.PanicLevel(1, "injected poison scale")
-	r := step(t, p, frame)
-	var pe *PanicError
-	if !errors.As(r.Err, &pe) {
-		t.Fatalf("got %v, want *PanicError", r.Err)
-	}
-	faults.Reset()
-	if r := step(t, p, frame); r.Err != nil {
-		t.Fatalf("stream dead after poison scale: %v", r.Err)
+			faults.PanicLevel(1, "injected poison scale")
+			r := step(t, p, frame)
+			var pe *PanicError
+			if !errors.As(r.Err, &pe) {
+				t.Fatalf("got %v, want *PanicError", r.Err)
+			}
+			faults.Reset()
+			if r := step(t, p, frame); r.Err != nil {
+				t.Fatalf("stream dead after poison scale: %v", r.Err)
+			}
+		})
 	}
 }
 
