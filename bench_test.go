@@ -413,7 +413,7 @@ func BenchmarkComputeCells(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := hog.ComputeCellsInto(sz.img, cfg, s, workers); err != nil {
+					if _, err := hog.ComputeCellsInto(context.Background(), sz.img, cfg, s, workers); err != nil {
 						b.Fatal(err)
 					}
 				}

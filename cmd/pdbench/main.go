@@ -53,10 +53,11 @@ type benchResult struct {
 	BytesPerOp  int64   `json:"bytes_per_op"`
 }
 
-// report is the full JSON document written by -json. Commit, CPU and
-// SpanKernel say which revision, machine and window-scoring kernel the
+// report is the full JSON document written by -json. Commit, CPU,
+// SpanKernel and CellKernel say which revision, machine and kernels the
 // numbers belong to: the dense scan runs several times faster with the
-// AVX2 span kernel.
+// AVX2 span kernel, and the cell front end about three times faster with
+// the AVX2 cell kernel.
 type report struct {
 	Commit     string        `json:"commit"`
 	GoVersion  string        `json:"go_version"`
@@ -65,6 +66,7 @@ type report struct {
 	GOMAXPROCS int           `json:"gomaxprocs"`
 	CPU        string        `json:"cpu"`
 	SpanKernel bool          `json:"span_kernel_avx2"`
+	CellKernel bool          `json:"cell_kernel_avx2"`
 	Timestamp  string        `json:"timestamp"`
 	Results    []benchResult `json:"results"`
 }
@@ -147,9 +149,11 @@ func main() {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		CPU:        cpuModel(),
 		SpanKernel: hog.SpanKernel(),
+		CellKernel: hog.CellKernel(),
 		Timestamp:  time.Now().UTC().Format(time.RFC3339),
 	}
-	fmt.Printf("commit %s, cpu %q, AVX2 span kernel %v\n", rep.Commit, rep.CPU, rep.SpanKernel)
+	fmt.Printf("commit %s, cpu %q, AVX2 span kernel %v, AVX2 cell kernel %v\n",
+		rep.Commit, rep.CPU, rep.SpanKernel, rep.CellKernel)
 	run := func(name string, fn func(b *testing.B)) {
 		r := testing.Benchmark(fn)
 		res := benchResult{
@@ -169,6 +173,10 @@ func main() {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		run(fmt.Sprintf("ComputeCells/fused/workers=%d", n), benchComputeCellsFused(n))
 	}
+	// The cell kernel's own rows: 1080p cells at workers=1 on each path
+	// (the vector row runs the scalar path too on a CPU without AVX2).
+	run("Cells/1080p/vector", benchCells1080p(true))
+	run("Cells/1080p/scalar", benchCells1080p(false))
 	run("Normalize/into", benchNormalizeInto(1))
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		run(fmt.Sprintf("Normalize/into/workers=%d", n), benchNormalizeInto(n))
@@ -177,10 +185,11 @@ func main() {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		run(fmt.Sprintf("FrontEnd/1080p/workers=%d", n), benchFrontEnd(n))
 	}
-	run("DetectParallel/workers=1", benchDetect(1, false))
+	run("DetectParallel/workers=1", benchDetect(core.FeaturePyramid, 1, false))
 	if n := runtime.GOMAXPROCS(0); n > 1 {
-		run(fmt.Sprintf("DetectParallel/workers=%d", n), benchDetect(0, false))
+		run(fmt.Sprintf("DetectParallel/workers=%d", n), benchDetect(core.FeaturePyramid, 0, false))
 	}
+	run("DetectOctave/workers=1", benchDetect(core.OctavePyramid, 1, false))
 	run("ScoreWindow/zero-copy", benchScoreWindow)
 	run("ScoreSpan", benchScoreSpan)
 	run("DetectCascade/dense", benchDetectCascade(core.CascadeOff))
@@ -192,7 +201,7 @@ func main() {
 	// Observability overhead: the same single-worker scan with the obs
 	// recorder attached. The tentpole's contract is that instrumentation
 	// stays in the noise (<2% on ns/op, zero extra allocs).
-	run("DetectParallel/workers=1/metrics=on", benchDetect(1, true))
+	run("DetectParallel/workers=1/metrics=on", benchDetect(core.FeaturePyramid, 1, true))
 	var off, on *benchResult
 	for i := range rep.Results {
 		switch rep.Results[i].Name {
@@ -286,7 +295,30 @@ func benchComputeCellsFused(workers int) func(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := hog.ComputeCellsInto(frame, cfg, s, workers); err != nil {
+			if _, err := hog.ComputeCellsInto(context.Background(), frame, cfg, s, workers); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// benchCells1080p benchmarks the cell histograms of a 1920x1080 frame
+// through a reused scratch at workers=1, with the vector cell kernel on or
+// off; the two paths give bit-identical histograms.
+func benchCells1080p(vector bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		defer hog.SetCellKernel(hog.SetCellKernel(vector))
+		frame := randFrame(1920, 1080, 29)
+		cfg := hog.DefaultConfig()
+		s := hog.NewScratch()
+		ctx := context.Background()
+		if _, err := hog.ComputeCellsInto(ctx, frame, cfg, s, 1); err != nil { // grow the scratch
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := hog.ComputeCellsInto(ctx, frame, cfg, s, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -331,11 +363,11 @@ func benchFrontEnd(workers int) func(b *testing.B) {
 		wbx, wby := cfg.HOG.WindowBlocks(cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH))
 		ctx := context.Background()
 		frontEnd := func() {
-			base, err := hog.ComputeInto(frame, cfg.HOG, s, workers)
+			base, err := hog.ComputeInto(ctx, frame, cfg.HOG, s, workers)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if err := p.Build(ctx, base, cfg.ScaleStep, wbx, wby, 0, cfg.Scale, workers); err != nil {
+			if err := p.Build(ctx, base, cfg.ScaleStep, wbx, wby, 0, 0, cfg.Scale, workers); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -348,13 +380,14 @@ func benchFrontEnd(workers int) func(b *testing.B) {
 	}
 }
 
-// benchDetect benchmarks the full multi-scale scan of a VGA frame with the
-// given worker count (0 = GOMAXPROCS) and a random-weight model. metrics
-// attaches an obs recorder to measure the instrumentation overhead.
-func benchDetect(workers int, metrics bool) func(b *testing.B) {
+// benchDetect benchmarks the full multi-scale scan of a VGA frame in the
+// given pyramid mode with the given worker count (0 = GOMAXPROCS) and a
+// random-weight model. metrics attaches an obs recorder to measure the
+// instrumentation overhead.
+func benchDetect(mode core.PyramidMode, workers int, metrics bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		cfg := core.DefaultConfig()
-		cfg.Mode = core.FeaturePyramid
+		cfg.Mode = mode
 		cfg.Workers = workers
 		if metrics {
 			cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())

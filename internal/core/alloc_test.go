@@ -110,15 +110,20 @@ func TestDetectAllocsMetricsOn(t *testing.T) {
 // state and worker closure of each parallel one. Neither grows with the
 // frame's area or the pyramid's depth; an allocation per level, per scan
 // chunk or per window would add tens to thousands a frame, and a level or
-// base-map copy megabytes.
+// base-map copy megabytes. The octave pyramid runs the same way: its
+// octaves 2, 4, ... are resized and extracted into the arena's second
+// frame buffer and HOG scratch, and its levels are planned before any is
+// built, so the level store is sized on the first frame.
 //
 // Measured 1 alloc and 112 B per frame at workers=1, 11 allocs and
-// 0.7-1.7 KB at workers=2. Under -race, sync.Pool drops a quarter of all
-// Puts on purpose, and the frame after a drop regrows the whole scratch: 26
-// more allocations (a constant; presized, not per level) and ~70 MB. The
-// alloc budgets of 32 and 48 hold even if every measured frame follows a
-// drop; the bytes are averaged over the frames whose arena checkout hit the
-// pool, so the 1 KB and 4 KB budgets pin the steady state either way.
+// 0.7-1.7 KB at workers=2, and 1 alloc and 112 B in octave mode. Under
+// -race, sync.Pool drops a quarter of all Puts on purpose, and the frame
+// after a drop regrows the whole scratch: 26 more allocations (a constant;
+// presized, not per level) and ~70 MB, ~49 more in octave mode, whose
+// second HOG scratch and level plan regrow too. The alloc budgets of 32, 48
+// and 56 hold even if every measured frame follows a drop; the bytes are
+// averaged over the frames whose arena checkout hit the pool, so the 1 KB
+// and 4 KB budgets pin the steady state either way.
 func TestDetectAllocs1080p(t *testing.T) {
 	frame := imgproc.NewGray(1920, 1080)
 	rng := rand.New(rand.NewSource(7))
@@ -126,10 +131,16 @@ func TestDetectAllocs1080p(t *testing.T) {
 		frame.Pix[i] = uint8(rng.Intn(256))
 	}
 	for _, c := range []struct {
+		mode            PyramidMode
 		workers, budget int
 		bytes           uint64
-	}{{1, 32, 1 << 10}, {2, 48, 4 << 10}} {
+	}{
+		{FeaturePyramid, 1, 32, 1 << 10},
+		{FeaturePyramid, 2, 48, 4 << 10},
+		{OctavePyramid, 1, 56, 4 << 10},
+	} {
 		cfg := DefaultConfig()
+		cfg.Mode = c.mode
 		cfg.Workers = c.workers
 		// Zero weights score every window at the bias, below threshold:
 		// no detection slice grows during the measurement.
@@ -160,15 +171,15 @@ func TestDetectAllocs1080p(t *testing.T) {
 			detect() // every frame so far followed a dropped scratch
 		}
 		if frames == 0 {
-			t.Fatalf("workers=%d: no frame hit the arena's pool", c.workers)
+			t.Fatalf("%v workers=%d: no frame hit the arena's pool", c.mode, c.workers)
 		}
 		bytes /= frames
-		t.Logf("workers=%d: %v allocs/frame, %d B/frame", c.workers, n, bytes)
+		t.Logf("%v workers=%d: %v allocs/frame, %d B/frame", c.mode, c.workers, n, bytes)
 		if n > float64(c.budget) {
-			t.Errorf("Detect 1080p workers=%d: %v allocs/op in steady state, budget %d", c.workers, n, c.budget)
+			t.Errorf("Detect 1080p %v workers=%d: %v allocs/op in steady state, budget %d", c.mode, c.workers, n, c.budget)
 		}
 		if bytes > c.bytes {
-			t.Errorf("Detect 1080p workers=%d: %d B/frame in steady state, budget %d", c.workers, bytes, c.bytes)
+			t.Errorf("Detect 1080p %v workers=%d: %d B/frame in steady state, budget %d", c.mode, c.workers, bytes, c.bytes)
 		}
 	}
 }

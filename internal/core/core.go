@@ -403,7 +403,7 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 	// reusable buffers, and every feature pyramid scans that base map in
 	// place as its level 0.
 	fs.hog.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
-	base, err := hog.ComputeInto(frame, d.cfg.HOG, fs.hog, workers)
+	base, err := hog.ComputeInto(ctx, frame, d.cfg.HOG, fs.hog, workers)
 	if err != nil {
 		return err
 	}
@@ -416,7 +416,7 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 	case OctavePyramid:
 		err = d.octaveLevels(ctx, frame, base, fs, workers)
 	case FeaturePyramid:
-		err = fs.pyr.Build(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale, workers)
+		err = fs.pyr.Build(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.SkipFinest, d.cfg.Scale, workers)
 	case FeaturePyramidChained:
 		err = fs.pyr.BuildChained(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale, workers)
 	case FeaturePyramidFixed:
@@ -428,8 +428,13 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 		return err
 	}
 	if d.cfg.Mode != OctavePyramid {
-		fs.levels = slices.Grow(fs.levels, len(fs.pyr.Levels))
-		for i, l := range fs.pyr.Levels {
+		// The direct build has not resampled the shed levels at all (nor
+		// has octaveLevels, which sheds its own); the chained and fixed
+		// builds resample them to chain through them. Absolute indices are
+		// kept so LevelProbe still addresses the original scale ladder.
+		skip := d.skipFinest(len(fs.pyr.Levels))
+		fs.levels = slices.Grow(fs.levels, len(fs.pyr.Levels)-skip)
+		for i, l := range fs.pyr.Levels[skip:] {
 			// Effective per-axis scale of this level from the block-grid
 			// ratio (grids are rounded per level, like image pyramid
 			// sizes, and independently per axis).
@@ -437,15 +442,11 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 				fm:    l.Map,
 				sx:    float64(base.BlocksX) / float64(l.Map.BlocksX),
 				sy:    float64(base.BlocksY) / float64(l.Map.BlocksY),
-				index: i,
+				index: skip + i,
 			})
 		}
 	}
 	d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(pt0))
-	// Feature pyramids derive every coarser level from the base map, so
-	// shedding only skips the scan (which dominates). Absolute indices are
-	// kept so LevelProbe still addresses the original scale ladder.
-	fs.levels = append(fs.levels[:0], fs.levels[d.skipFinest(len(fs.levels)):]...)
 	return nil
 }
 
@@ -532,71 +533,113 @@ func (d *Detector) fixedLevels(ctx context.Context, frame *imgproc.Gray, base *h
 	return nil
 }
 
+// octaveLevel is one planned OctavePyramid level: the octave it is drawn
+// from (0 is the base map; octave o > 0 is the frame resized by 2^o to
+// w x h, with the exact per-axis frame scales sx, sy and block grid
+// bx x by) and the factor rel and grid outBX x outBY it is resampled to.
+type octaveLevel struct {
+	octave       int
+	w, h, bx, by int
+	sx, sy       float64
+	rel          float64
+	outBX, outBY int
+}
+
+// planOctaves appends the OctavePyramid's levels to plan, without
+// extracting any octave: level i covers frame scale ScaleStep^i and draws
+// from the nearest octave at or below it whose image and block grid still
+// fit the window.
+func (d *Detector) planOctaves(frame *imgproc.Gray, base *hog.FeatureMap, plan []octaveLevel) []octaveLevel {
+	wbx, wby := d.cfg.windowBlocks()
+	oct := octaveLevel{w: frame.W, h: frame.H, bx: base.BlocksX, by: base.BlocksY, sx: 1, sy: 1}
+	octScale := 1.0
+	lastOctave := false
+	for i := 0; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
+		scale := math.Pow(d.cfg.ScaleStep, float64(i))
+		for !lastOctave && 2*octScale <= scale {
+			next := 2 * octScale
+			w := int(math.Round(float64(frame.W) / next))
+			h := int(math.Round(float64(frame.H) / next))
+			bx, by := d.cfg.HOG.WindowBlocks(d.cfg.HOG.WindowCells(w, h))
+			if w < d.cfg.WindowW || h < d.cfg.WindowH || bx < wbx || by < wby {
+				lastOctave = true
+				break
+			}
+			octScale = next
+			oct = octaveLevel{octave: oct.octave + 1, w: w, h: h, bx: bx, by: by,
+				sx: float64(frame.W) / float64(w), sy: float64(frame.H) / float64(h)}
+		}
+		l := oct
+		l.rel = scale / octScale
+		l.outBX = int(math.Round(float64(oct.bx) / l.rel))
+		l.outBY = int(math.Round(float64(oct.by) / l.rel))
+		if l.outBX < wbx || l.outBY < wby {
+			break
+		}
+		plan = append(plan, l)
+	}
+	return plan
+}
+
 // octaveLevels builds the OctavePyramid levels into fs.levels on the base
 // map the arena scratch extracted from the frame, which serves as octave 1
-// and is scanned in place. Octaves 2, 4, ... are extracted from resized
-// frames while the window still fits them, each once the level scales reach
-// it. Level i covers frame scale ScaleStep^i: the nearest octave at or below
-// that scale is resampled by the remaining factor with Config.Scale into the
-// scratch's level store, its rows on up to workers goroutines (the identity
-// factor scans the octave map itself).
+// and is scanned in place. The levels are planned first (planOctaves), so
+// the levels SkipFinest sheds are never built and the scratch's level store
+// is sized for the rest before any is. Octaves 2, 4, ... are extracted from
+// resized frames as the kept levels reach them, all through one reused
+// frame buffer and HOG scratch of the arena's. Each level resamples its
+// octave by the remaining factor with Config.Scale into the level store,
+// its rows on up to workers goroutines (the identity factor scans the base
+// map itself, or a copy of a coarser octave's: the next octave reuses the
+// HOG scratch).
 func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch, workers int) error {
 	wbx, wby := d.cfg.windowBlocks()
 	if frame.W < d.cfg.WindowW || frame.H < d.cfg.WindowH || base.BlocksX < wbx || base.BlocksY < wby {
 		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
 	}
-	fs.pyr.Reset()
-	// oct is the nearest octave at or below the current level's scale. sx
-	// and sy are the exact per-axis frame scales of its image (octave
-	// sizes are rounded independently per axis).
-	type octave struct {
-		scale, sx, sy float64
-		fm            *hog.FeatureMap
+	fs.octPlan = d.planOctaves(frame, base, fs.octPlan[:0])
+	skip := d.skipFinest(len(fs.octPlan))
+	total := 0
+	for _, l := range fs.octPlan[skip:] {
+		if l.rel != 1 || l.octave > 0 {
+			total += l.outBX * l.outBY * base.BlockLen
+		}
 	}
-	oct := octave{scale: 1, sx: 1, sy: 1, fm: base}
-	lastOctave := false
-	for i := 0; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
+	fs.pyr.Reserve(total)
+	octFM, extracted := base, 0
+	for i := skip; i < len(fs.octPlan); i++ {
+		l := fs.octPlan[i]
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		scale := math.Pow(d.cfg.ScaleStep, float64(i))
-		for !lastOctave && 2*oct.scale <= scale {
-			next := 2 * oct.scale
-			w := int(math.Round(float64(frame.W) / next))
-			h := int(math.Round(float64(frame.H) / next))
-			if w < d.cfg.WindowW || h < d.cfg.WindowH {
-				lastOctave = true
-				break
+		if l.octave != extracted {
+			if fs.oct == nil {
+				fs.oct = hog.NewScratch()
 			}
-			fm, err := hog.Compute(imgproc.Resize(frame, w, h, d.cfg.Interp), d.cfg.HOG)
-			if err != nil {
-				return fmt.Errorf("core: octave %.0fx: %w", next, err)
-			}
-			if fm.BlocksX < wbx || fm.BlocksY < wby {
-				lastOctave = true
-				break
-			}
-			oct = octave{next, float64(frame.W) / float64(w), float64(frame.H) / float64(h), fm}
-		}
-		rel := scale / oct.scale
-		outBX := int(math.Round(float64(oct.fm.BlocksX) / rel))
-		outBY := int(math.Round(float64(oct.fm.BlocksY) / rel))
-		if outBX < wbx || outBY < wby {
-			break
-		}
-		fm := oct.fm
-		if rel != 1 {
+			img := imgproc.ResizeInto(&fs.octFrame, frame, l.w, l.h, d.cfg.Interp)
 			var err error
-			if fm, err = fs.pyr.Scale(ctx, oct.fm, outBX, outBY, rel, rel, d.cfg.Scale, workers); err != nil {
+			if octFM, err = hog.ComputeInto(ctx, img, d.cfg.HOG, fs.oct, workers); err != nil {
+				return fmt.Errorf("core: octave %dx: %w", 1<<l.octave, err)
+			}
+			extracted = l.octave
+		}
+		fm := octFM
+		switch {
+		case l.rel != 1:
+			var err error
+			if fm, err = fs.pyr.Scale(ctx, octFM, l.outBX, l.outBY, l.rel, l.rel, d.cfg.Scale, workers); err != nil {
 				return err
 			}
+		case l.octave > 0:
+			fm = fs.pyr.Map(octFM.BlocksX, octFM.BlocksY, octFM)
+			copy(fm.Feat, octFM.Feat)
 		}
 		// Per-axis frame scale of the level: the octave's scale times
 		// the intra-octave block-grid ratio.
 		fs.levels = append(fs.levels, pyrLevel{
 			fm:    fm,
-			sx:    oct.sx * float64(oct.fm.BlocksX) / float64(fm.BlocksX),
-			sy:    oct.sy * float64(oct.fm.BlocksY) / float64(fm.BlocksY),
+			sx:    l.sx * float64(octFM.BlocksX) / float64(fm.BlocksX),
+			sy:    l.sy * float64(octFM.BlocksY) / float64(fm.BlocksY),
 			index: i,
 		})
 	}

@@ -138,9 +138,10 @@ func writeGolden(t *testing.T, got map[string][]eval.Detection) {
 // scan is sharded across workers or routed through the staged cascade
 // kernel with floors that never reject. Any numerics change — feature
 // extraction, scoring order, NMS — shows up here as a concrete detection
-// diff. The whole check runs twice, on the default dense-scan kernel and
-// with hog's vector span kernel off, so both scan paths are pinned to the
-// same committed bits.
+// diff. The whole check runs three times: on the default kernels, with
+// hog's vector span kernel off, and with hog's vector cell kernel off, so
+// both scan paths and both cell-binning paths are pinned to the same
+// committed bits.
 func TestGoldenDetections(t *testing.T) {
 	det, _ := testDetector(t)
 	seq := goldenSequence(t)
@@ -154,14 +155,16 @@ func TestGoldenDetections(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatalf("golden fixture %s is empty (regenerate with -update)", goldenPath)
 	}
-	kernel := "scalar span kernel"
-	if hog.SpanKernel() {
-		kernel = "vector span kernel"
-	}
-	checkGolden(t, kernel, got, want, len(seq.Frames))
+	kernels := fmt.Sprintf("default kernels (vector span %v, vector cells %v)", hog.SpanKernel(), hog.CellKernel())
+	checkGolden(t, kernels, got, want, len(seq.Frames))
 
-	defer hog.SetSpanKernel(hog.SetSpanKernel(false))
-	checkGolden(t, "scalar span kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
+	func() {
+		defer hog.SetSpanKernel(hog.SetSpanKernel(false))
+		checkGolden(t, "scalar span kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
+	}()
+
+	defer hog.SetCellKernel(hog.SetCellKernel(false))
+	checkGolden(t, "scalar cell kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
 }
 
 // goldenDetections runs every golden mode over the clip, checking on the

@@ -6,16 +6,17 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/eval"
 	"repro/internal/imgproc"
+	"repro/internal/par"
 	"repro/internal/svm"
 )
 
@@ -122,29 +123,21 @@ func (tr *trained) testSet(o Options, scale float64) (*dataset.Set, error) {
 }
 
 // scoreSet scores every window of a set with one scenario function,
-// fanning out across workers. Results align with set order.
+// fanning out across workers (<= 0 means GOMAXPROCS). Results align with
+// set order; on failure the first error is returned and the remaining
+// windows are not scored.
 func scoreSet(set *dataset.Set, workers int, score func(img *imgproc.Gray) (float64, error)) ([]float64, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	scores := make([]float64, set.Len())
-	errs := make([]error, set.Len())
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i := range set.Images {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			scores[i], errs[i] = score(set.Images[i])
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := par.Do(context.Background(), set.Len(), workers, func(i int) error {
+		var err error
+		scores[i], err = score(set.Images[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return scores, nil
 }

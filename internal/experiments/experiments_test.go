@@ -1,11 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/fixed"
+	"repro/internal/imgproc"
 	"repro/internal/svm"
 )
 
@@ -189,5 +192,39 @@ func TestOptionsErrors(t *testing.T) {
 	o.Protocol.TrainPos = 0
 	if _, err := Table1(o); err == nil {
 		t.Error("broken protocol should error")
+	}
+}
+
+// TestScoreSetOrderAndError pins scoreSet's contract at any worker count:
+// scores align with set order, and a failing window's error is returned.
+func TestScoreSetOrderAndError(t *testing.T) {
+	set := &dataset.Set{}
+	for i := 0; i < 37; i++ {
+		img := imgproc.NewGray(2, 2)
+		img.Pix[0] = uint8(i)
+		set.Images = append(set.Images, img)
+		set.Labels = append(set.Labels, 1)
+	}
+	score := func(img *imgproc.Gray) (float64, error) { return float64(img.Pix[0]), nil }
+	errBad := errors.New("bad window")
+	for _, workers := range []int{0, 1, 4} {
+		got, err := scoreSet(set, workers, score)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, s := range got {
+			if s != float64(i) {
+				t.Fatalf("workers=%d: score[%d] = %v, want %d", workers, i, s, i)
+			}
+		}
+		_, err = scoreSet(set, workers, func(img *imgproc.Gray) (float64, error) {
+			if img.Pix[0] == 17 {
+				return 0, errBad
+			}
+			return score(img)
+		})
+		if !errors.Is(err, errBad) {
+			t.Fatalf("workers=%d: err = %v, want %v", workers, err, errBad)
+		}
 	}
 }

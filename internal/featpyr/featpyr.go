@@ -245,6 +245,11 @@ const bandRows = 8
 // geometry seen once is served from it from then on.
 func (p *Pyramid) Reset() { p.reset(0) }
 
+// Reserve is Reset, also growing the storage to at least n features, so
+// that maps of up to n features in all are carved from it without
+// allocating, on the first frame of a geometry too.
+func (p *Pyramid) Reserve(n int) { p.reset(n) }
+
 // reset is Reset, also growing the slab to at least reserve elements.
 func (p *Pyramid) reset(reserve int) {
 	if n := max(p.need, reserve); n > len(p.slab) {
@@ -350,7 +355,12 @@ func (p *Pyramid) runBand(i int) error {
 // level's bits do not depend on the split. cfg.LevelTimer gets one
 // observation per resampled level, the sum of its bands' times. On error,
 // including ctx ending mid-build, p's levels are unusable.
-func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig, workers int) error {
+//
+// The shed finest levels (clamped so that the coarsest level remains) are
+// planned but not built: they keep their Level, with its Scale, but a nil
+// Map, and cost no resampling. No other level depends on them, so every
+// level that is built has the bits of a build with nothing shed.
+func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels, shed int, cfg ScaleConfig, workers int) error {
 	if step <= 1 {
 		return fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
 	}
@@ -361,31 +371,41 @@ func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64,
 		scale = math.Pow(step, float64(i))
 		return scale, int(math.Round(float64(base.BlocksX) / scale)), int(math.Round(float64(base.BlocksY) / scale))
 	}
-	levels, total, bands := 0, 0, 0
+	levels := 0
 	for ; levels < maxLevels; levels++ {
-		_, bx, by := grid(levels)
-		if bx < minBX || by < minBY {
+		if _, bx, by := grid(levels); bx < minBX || by < minBY {
 			break
 		}
-		if levels > 0 {
-			total += bx * by * base.BlockLen
-			bands += (by + bandRows - 1) / bandRows
-		}
+	}
+	shed = max(min(shed, levels-1), 0)
+	first := max(shed, 1) // the first level resampled from base
+	total, bands := 0, 0
+	for i := first; i < levels; i++ {
+		_, bx, by := grid(i)
+		total += bx * by * base.BlockLen
+		bands += (by + bandRows - 1) / bandRows
 	}
 	p.reset(total)
 	if levels == 0 {
 		return fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
 			base.BlocksX, base.BlocksY, minBX, minBY)
 	}
-	p.Levels = append(slices.Grow(p.Levels, levels), Level{Scale: 1, Map: base})
+	p.Levels = slices.Grow(p.Levels, levels)
 	p.bands = slices.Grow(p.bands[:0], bands)
-	for i := 1; i < levels; i++ {
+	for i := 0; i < levels; i++ {
 		scale, bx, by := grid(i)
-		m := p.Map(bx, by, base)
-		p.addBands(m, base, float64(base.BlocksX)/float64(bx), float64(base.BlocksY)/float64(by), i-1)
+		var m *hog.FeatureMap
+		switch {
+		case i < shed:
+		case i == 0:
+			m = base
+		default:
+			m = p.Map(bx, by, base)
+			p.addBands(m, base, float64(base.BlocksX)/float64(bx), float64(base.BlocksY)/float64(by), i-first)
+		}
 		p.Levels = append(p.Levels, Level{Scale: scale, Map: m})
 	}
-	return p.resample(ctx, cfg, levels-1, workers)
+	return p.resample(ctx, cfg, levels-first, workers)
 }
 
 // BuildChained rebuilds p the way the hardware builds its pyramid (Figure

@@ -235,7 +235,7 @@ func TestBuildPyramidLevels(t *testing.T) {
 	ctx := context.Background()
 	fm := randomMap(t, 512, 512, 9) // 64x64 blocks
 	var p Pyramid
-	if err := p.Build(ctx, fm, 1.1, 8, 16, 0, ScaleConfig{}, 1); err != nil {
+	if err := p.Build(ctx, fm, 1.1, 8, 16, 0, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(p.Levels) < 10 {
@@ -258,7 +258,7 @@ func TestBuildPyramidLevels(t *testing.T) {
 	}
 	// maxLevels cap works.
 	var p2 Pyramid
-	if err := p2.Build(ctx, fm, 1.1, 8, 16, 2, ScaleConfig{}, 1); err != nil {
+	if err := p2.Build(ctx, fm, 1.1, 8, 16, 2, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(p2.Levels) != 2 {
@@ -266,13 +266,13 @@ func TestBuildPyramidLevels(t *testing.T) {
 	}
 	// Base smaller than window errors.
 	small := randomMap(t, 64, 64, 10) // 8x8 blocks < 8x16 window
-	if err := p2.Build(ctx, small, 1.1, 8, 16, 0, ScaleConfig{}, 1); err == nil {
+	if err := p2.Build(ctx, small, 1.1, 8, 16, 0, 0, ScaleConfig{}, 1); err == nil {
 		t.Error("under-window base should error")
 	}
 	if err := p2.BuildChained(ctx, small, 1.1, 8, 16, 0, ScaleConfig{}, 1); err == nil {
 		t.Error("under-window base should error when chained too")
 	}
-	if err := p2.Build(ctx, fm, 1.0, 8, 16, 0, ScaleConfig{}, 1); err == nil {
+	if err := p2.Build(ctx, fm, 1.0, 8, 16, 0, 0, ScaleConfig{}, 1); err == nil {
 		t.Error("step 1.0 should error")
 	}
 }
@@ -281,7 +281,7 @@ func TestBuildChainedMatchesDirectApproximately(t *testing.T) {
 	ctx := context.Background()
 	fm := randomMap(t, 256, 512, 11)
 	var direct, chained Pyramid
-	if err := direct.Build(ctx, fm, 1.2, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+	if err := direct.Build(ctx, fm, 1.2, 8, 16, 4, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := chained.BuildChained(ctx, fm, 1.2, 8, 16, 4, ScaleConfig{}, 1); err != nil {
@@ -380,11 +380,13 @@ func TestPyramidBuildMatchesScaleMap(t *testing.T) {
 			for _, chained := range []bool{false, true} {
 				timer := new(obs.Histogram)
 				cfg.LevelTimer = timer
-				build := p.Build
+				var err error
 				if chained {
-					build = p.BuildChained
+					err = p.BuildChained(ctx, base, 1.15, 8, 16, 0, cfg, workers)
+				} else {
+					err = p.Build(ctx, base, 1.15, 8, 16, 0, 0, cfg, workers)
 				}
-				if err := build(ctx, base, 1.15, 8, 16, 0, cfg, workers); err != nil {
+				if err != nil {
 					t.Fatal(err)
 				}
 				if got, want := timer.Snapshot().Count, uint64(len(p.Levels)-1); got != want {
@@ -420,7 +422,7 @@ func TestPyramidRebuildReusesStorage(t *testing.T) {
 	base := randomMap(t, 320, 400, 31)
 	other := randomMap(t, 320, 400, 30)
 	var p Pyramid
-	if err := p.Build(ctx, base, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+	if err := p.Build(ctx, base, 1.1, 8, 16, 4, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	snap := make([][]float64, len(p.Levels))
@@ -428,11 +430,11 @@ func TestPyramidRebuildReusesStorage(t *testing.T) {
 		snap[i] = append([]float64(nil), l.Map.Feat...)
 	}
 	slab := &p.Levels[1].Map.Feat[0]
-	if err := p.Build(ctx, other, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+	if err := p.Build(ctx, other, 1.1, 8, 16, 4, 0, ScaleConfig{}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if n := testing.AllocsPerRun(5, func() {
-		if err := p.Build(ctx, base, 1.1, 8, 16, 4, ScaleConfig{}, 1); err != nil {
+		if err := p.Build(ctx, base, 1.1, 8, 16, 4, 0, ScaleConfig{}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
@@ -609,5 +611,57 @@ func TestFixedScalerPooledScratch(t *testing.T) {
 	bad.Feat = bad.Feat[:5]
 	if _, err := s.ScaleInto(bad, base, 1, 1); err == nil {
 		t.Error("a target map whose storage does not fit its grid should error")
+	}
+}
+
+// TestPyramidBuildShed pins Build's shedding: with the n finest levels shed
+// (0 .. past the pyramid's depth, where the coarsest level must remain),
+// the shed levels keep their scale with a nil map, every other level is
+// bit-identical to a build that sheds nothing, and the level timer gets
+// exactly one observation per level actually resampled.
+func TestPyramidBuildShed(t *testing.T) {
+	ctx := context.Background()
+	base := randomMap(t, 200, 360, 43)
+	var full Pyramid
+	if err := full.Build(ctx, base, 1.2, 8, 16, 0, 0, ScaleConfig{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	n := len(full.Levels)
+	for _, shed := range []int{0, 1, 2, 3, n - 1, n, n + 5} {
+		for _, workers := range []int{1, 3} {
+			var p Pyramid
+			timer := new(obs.Histogram)
+			if err := p.Build(ctx, base, 1.2, 8, 16, 0, shed, ScaleConfig{LevelTimer: timer}, workers); err != nil {
+				t.Fatal(err)
+			}
+			if len(p.Levels) != n {
+				t.Fatalf("shed=%d: %d levels, want %d", shed, len(p.Levels), n)
+			}
+			kept := min(shed, n-1)
+			resampled := n - max(kept, 1)
+			if got := timer.Snapshot().Count; got != uint64(resampled) {
+				t.Errorf("shed=%d workers=%d: %d level timings for %d resampled levels", shed, workers, got, resampled)
+			}
+			for i, l := range p.Levels {
+				if l.Scale != full.Levels[i].Scale {
+					t.Fatalf("shed=%d level %d: scale %g, want %g", shed, i, l.Scale, full.Levels[i].Scale)
+				}
+				if i < kept {
+					if l.Map != nil {
+						t.Fatalf("shed=%d: shed level %d has a map", shed, i)
+					}
+					continue
+				}
+				want := full.Levels[i].Map
+				if l.Map == nil || l.Map.BlocksX != want.BlocksX || l.Map.BlocksY != want.BlocksY {
+					t.Fatalf("shed=%d level %d: map missing or not %dx%d", shed, i, want.BlocksX, want.BlocksY)
+				}
+				for k := range want.Feat {
+					if math.Float64bits(l.Map.Feat[k]) != math.Float64bits(want.Feat[k]) {
+						t.Fatalf("shed=%d workers=%d level %d feat[%d] = %v, unshed %v", shed, workers, i, k, l.Map.Feat[k], want.Feat[k])
+					}
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package hog
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -30,11 +31,11 @@ func TestFrontEndAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name+"/cells", func(t *testing.T) {
 			s := NewScratch()
-			if _, err := ComputeCellsInto(img, tc.cfg, s, 1); err != nil {
+			if _, err := ComputeCellsInto(context.Background(), img, tc.cfg, s, 1); err != nil {
 				t.Fatal(err)
 			}
 			if n := testing.AllocsPerRun(20, func() {
-				if _, err := ComputeCellsInto(img, tc.cfg, s, 1); err != nil {
+				if _, err := ComputeCellsInto(context.Background(), img, tc.cfg, s, 1); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
@@ -43,11 +44,11 @@ func TestFrontEndAllocs(t *testing.T) {
 		})
 		t.Run(tc.name+"/full", func(t *testing.T) {
 			s := NewScratch()
-			if _, err := ComputeInto(img, tc.cfg, s, 1); err != nil {
+			if _, err := ComputeInto(context.Background(), img, tc.cfg, s, 1); err != nil {
 				t.Fatal(err)
 			}
 			if n := testing.AllocsPerRun(20, func() {
-				if _, err := ComputeInto(img, tc.cfg, s, 1); err != nil {
+				if _, err := ComputeInto(context.Background(), img, tc.cfg, s, 1); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
@@ -61,12 +62,12 @@ func TestFrontEndAllocs(t *testing.T) {
 		s := NewScratch()
 		s.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
 		cfg := DefaultConfig()
-		if _, err := ComputeInto(img, cfg, s, 1); err != nil {
+		if _, err := ComputeInto(context.Background(), img, cfg, s, 1); err != nil {
 			t.Fatal(err)
 		}
 		if n := testing.AllocsPerRun(20, func() {
 			s.Metrics.BeginFrame()
-			if _, err := ComputeInto(img, cfg, s, 1); err != nil {
+			if _, err := ComputeInto(context.Background(), img, cfg, s, 1); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {

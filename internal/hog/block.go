@@ -55,13 +55,14 @@ func Normalize(grid *CellGrid, cfg Config) (*FeatureMap, error) {
 // same-shaped grid allocate nothing.
 func NormalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap, workers int) error {
 	s := scratchPool.Get().(*Scratch)
-	err := s.normalizeInto(grid, cfg, fm, workers)
+	err := s.normalizeInto(context.Background(), grid, cfg, fm, workers)
 	scratchPool.Put(s)
 	return err
 }
 
-// normalizeInto is NormalizeInto on s's fan-out context.
-func (s *Scratch) normalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap, workers int) error {
+// normalizeInto is NormalizeInto on s's fan-out context; once ctx is done
+// no further block row starts.
+func (s *Scratch) normalizeInto(ctx context.Context, grid *CellGrid, cfg Config, fm *FeatureMap, workers int) error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
@@ -92,7 +93,7 @@ func (s *Scratch) normalizeInto(grid *CellGrid, cfg Config, fm *FeatureMap, work
 	fm.Feat = fm.Feat[:n]
 	fm.Cfg = cfg
 	s.nc = normCtx{grid: grid, fm: fm, perCell: perCell}
-	err := par.Do(context.TODO(), by, workers, s.normJob)
+	err := par.Do(ctx, by, workers, s.normJob)
 	s.nc = normCtx{} // drop the caller's maps: s may go back to a pool
 	if err != nil {
 		return fmt.Errorf("hog: normalize: %w", err)

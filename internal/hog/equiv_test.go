@@ -1,6 +1,7 @@
 package hog
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -88,6 +89,11 @@ func equivConfigs(cell int) []Config {
 	odd.BlockCells = 3
 	odd.InterpolateCells = true
 	out = append(out, odd)
+	// An odd bin count on the vector cell kernel's path.
+	seven := DefaultConfig()
+	seven.CellSize = cell
+	seven.Bins = 7
+	out = append(out, seven)
 	return out
 }
 
@@ -109,9 +115,10 @@ func diffGrids(t *testing.T, label string, ref, got *CellGrid) {
 // TestFastPathEquivalence is the differential sweep: for every Config
 // combination and adversarial image, the fused fast path must match
 // ReferenceComputeCells within equivTol, the scratch variant must be
-// byte-identical to the allocating one, and any worker count must be
-// byte-identical to workers=1. The normalized feature maps must agree to
-// the same tolerance.
+// byte-identical to the allocating one, any worker count must be
+// byte-identical to workers=1, and the vector cell kernel must be
+// byte-identical to the scalar vote. The normalized feature maps must
+// agree to the same tolerance.
 func TestFastPathEquivalence(t *testing.T) {
 	for _, cell := range []int{8, 5} {
 		images := equivImages(cell)
@@ -130,7 +137,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				diffGrids(t, label, ref, got)
 
 				s := NewScratch()
-				g1, err := ComputeCellsInto(img, cfg, s, 1)
+				g1, err := ComputeCellsInto(context.Background(), img, cfg, s, 1)
 				if err != nil {
 					t.Fatalf("%s: into: %v", label, err)
 				}
@@ -142,7 +149,7 @@ func TestFastPathEquivalence(t *testing.T) {
 				}
 				for _, workers := range []int{2, 5} {
 					sw := NewScratch()
-					gw, err := ComputeCellsInto(img, cfg, sw, workers)
+					gw, err := ComputeCellsInto(context.Background(), img, cfg, sw, workers)
 					if err != nil {
 						t.Fatalf("%s: workers=%d: %v", label, workers, err)
 					}
@@ -154,10 +161,19 @@ func TestFastPathEquivalence(t *testing.T) {
 					}
 				}
 
+				// The vector cell kernel must reproduce the scalar vote's
+				// bits, serially and banded.
+				if haveCellKernel {
+					for _, workers := range []int{1, 3} {
+						sameBits(t, fmt.Sprintf("%s: vector vs scalar, workers=%d", label, workers),
+							cellsWithKernel(t, false, img, cfg, workers), cellsWithKernel(t, true, img, cfg, workers))
+					}
+				}
+
 				// Normalized features carry the same bound: same math on
 				// near-identical inputs.
 				refFM, refErr := Normalize(ref, cfg)
-				gotFM, err := ComputeInto(img, cfg, s, 1)
+				gotFM, err := ComputeInto(context.Background(), img, cfg, s, 1)
 				if refErr != nil {
 					// e.g. a one-cell-tall grid cannot form an overlap
 					// block; the fast path must refuse identically.
@@ -257,7 +273,7 @@ func TestComputeCellsIntoReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := ComputeCellsInto(img, cfg, s, 3)
+			got, err := ComputeCellsInto(context.Background(), img, cfg, s, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -267,10 +283,10 @@ func TestComputeCellsIntoReuse(t *testing.T) {
 }
 
 // TestComputeIntoWorkerSplitsBitIdentical pins the parallel front end —
-// luminance rows, cell bands and block-row normalization — to the serial
-// one bit for bit, for every layout and norm, on frames whose pixel and
-// cell row counts divide neither the band height nor any worker count,
-// down to a map one block row tall.
+// luminance rows, cell bands and block-row normalization — on both cell
+// kernel paths to the serial scalar one bit for bit, for every layout and
+// norm, on frames whose pixel and cell row counts divide neither the band
+// height nor any worker count, down to a map one block row tall.
 func TestComputeIntoWorkerSplitsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	// 59 px = 7 cell rows, 109 px = 13 cell rows; 13 px is one cell row
@@ -292,31 +308,39 @@ func TestComputeIntoWorkerSplitsBitIdentical(t *testing.T) {
 				cfg.InterpolateCells = extra == "interp"
 				for _, img := range frames {
 					label := fmt.Sprintf("layout=%v norm=%v %s %dx%d", layout, norm, extra, img.W, img.H)
-					want, err := ComputeInto(img, cfg, NewScratch(), 1)
+					var want *FeatureMap
+					var err error
+					withCellKernel(false, func() {
+						want, err = ComputeInto(context.Background(), img, cfg, NewScratch(), 1)
+					})
 					if err != nil {
 						if layout == LayoutOverlap && img.H < 2*cfg.CellSize {
 							continue // one cell row forms no overlap block
 						}
 						t.Fatalf("%s: %v", label, err)
 					}
-					for _, workers := range []int{2, 3, 5, 8} {
-						s := NewScratch()
-						for pass := 0; pass < 2; pass++ { // cold, then warm scratch
-							got, err := ComputeInto(img, cfg, s, workers)
-							if err != nil {
-								t.Fatalf("%s workers=%d: %v", label, workers, err)
-							}
-							if got.BlocksX != want.BlocksX || got.BlocksY != want.BlocksY {
-								t.Fatalf("%s workers=%d: map %dx%d, serial %dx%d", label, workers,
-									got.BlocksX, got.BlocksY, want.BlocksX, want.BlocksY)
-							}
-							for i := range want.Feat {
-								if math.Float64bits(got.Feat[i]) != math.Float64bits(want.Feat[i]) {
-									t.Fatalf("%s workers=%d pass %d: feat[%d] = %.17g, serial %.17g",
-										label, workers, pass, i, got.Feat[i], want.Feat[i])
+					for _, kernel := range cellKernelModes(t) {
+						withCellKernel(kernel, func() {
+							for _, workers := range []int{1, 2, 3, 5, 8} {
+								s := NewScratch()
+								for pass := 0; pass < 2; pass++ { // cold, then warm scratch
+									got, err := ComputeInto(context.Background(), img, cfg, s, workers)
+									if err != nil {
+										t.Fatalf("%s kernel=%v workers=%d: %v", label, kernel, workers, err)
+									}
+									if got.BlocksX != want.BlocksX || got.BlocksY != want.BlocksY {
+										t.Fatalf("%s kernel=%v workers=%d: map %dx%d, serial %dx%d", label, kernel, workers,
+											got.BlocksX, got.BlocksY, want.BlocksX, want.BlocksY)
+									}
+									for i := range want.Feat {
+										if math.Float64bits(got.Feat[i]) != math.Float64bits(want.Feat[i]) {
+											t.Fatalf("%s kernel=%v workers=%d pass %d: feat[%d] = %.17g, scalar serial %.17g",
+												label, kernel, workers, pass, i, got.Feat[i], want.Feat[i])
+										}
+									}
 								}
 							}
-						}
+						})
 					}
 				}
 			}

@@ -24,13 +24,20 @@ import (
 //   - takes the magnitude as Sqrt(gx^2+gy^2) (luminance is in [0,1], so
 //     Hypot's overflow guards buy nothing),
 //   - walks interior rows through bounds-check-free slice windows, leaving
-//     the replicate-clamp border semantics to a thin border pass, and
+//     the replicate-clamp border semantics to a thin border pass,
+//   - votes interior rows in two passes where the CPU has AVX2 and Bins >=
+//     6 (vote.go): pass 1, binRun, bins a run of pixels four per ymm
+//     register into (b0, b1, w0, w1) with vote's float operations in
+//     vote's order, and pass 2, the scalar accumulate, adds them into the
+//     cells in pixel order, so every cell sum keeps the bits the scalar
+//     vote gives it, and
 //   - histograms cell-row bands in parallel with a worker-count-independent
 //     band partition, so any worker count produces byte-identical grids.
 //
 // Votes land in the same bins with the same weights as the reference up to
 // float rounding; TestFastPathEquivalence and FuzzComputeCells pin the
-// histograms to within 1e-12.
+// histograms to within 1e-12, and the vector vote to the scalar one bit for
+// bit.
 
 // lumLUT and lumLUTGamma map 8-bit pixel values to [0,1] luminance, plain
 // and sqrt-gamma-compressed. Table entries are computed with the exact
@@ -77,6 +84,12 @@ type binTable struct {
 	// series truncation is below 5e-14. Smaller bin counts fall back to
 	// math.Atan.
 	poly bool
+	// thr and kc are the vector kernel's tables, each value repeated in
+	// four lanes: thr holds cos[b] then sin[b] per threshold b, kc the
+	// series constants c1 .. c11, 1, 0.5 and invW, at the offsets
+	// vote_amd64.s reads them from.
+	thr []float64
+	kc  [14][4]float64
 }
 
 func (t *binTable) init(bins int) {
@@ -89,17 +102,23 @@ func (t *binTable) init(bins int) {
 		t.sin = make([]float64, bins)
 		t.cosE = make([]float64, bins+1)
 		t.sinE = make([]float64, bins+1)
+		t.thr = make([]float64, 8*bins)
 	}
 	t.tan = t.tan[:bins]
 	t.cos = t.cos[:bins]
 	t.sin = t.sin[:bins]
 	t.cosE = t.cosE[:bins+1]
 	t.sinE = t.sinE[:bins+1]
+	t.thr = t.thr[:8*bins]
 	for b := 0; b < bins; b++ {
 		a := (float64(b) + 0.5) * w
 		t.tan[b] = math.Tan(a)
 		t.cos[b] = math.Cos(a)
 		t.sin[b] = math.Sin(a)
+		for j := 0; j < 4; j++ {
+			t.thr[8*b+j] = t.cos[b]
+			t.thr[8*b+4+j] = t.sin[b]
+		}
 	}
 	for k := 0; k <= bins; k++ {
 		a := float64(k) * w
@@ -107,7 +126,27 @@ func (t *binTable) init(bins int) {
 		t.sinE[k] = math.Sin(a)
 	}
 	t.poly = bins >= 6
+	for i, c := range [14]float64{c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, 1, 0.5, t.invW} {
+		t.kc[i] = [4]float64{c, c, c, c}
+	}
 }
+
+// c1 .. c11 are the odd Taylor coefficients of arctan after x, -1/3 ..
+// -1/23, shared by atanSmall, vote and (as float64 bits in binTable.kc)
+// the vector kernel.
+const (
+	c1  = -1.0 / 3
+	c2  = 1.0 / 5
+	c3  = -1.0 / 7
+	c4  = 1.0 / 9
+	c5  = -1.0 / 11
+	c6  = 1.0 / 13
+	c7  = -1.0 / 15
+	c8  = 1.0 / 17
+	c9  = -1.0 / 19
+	c10 = 1.0 / 21
+	c11 = -1.0 / 23
+)
 
 // atanSmall is an odd Taylor arctangent for |x| <= tan(pi/12): terms
 // through x^23, evaluated Estrin-style so the ~25 flops pipeline instead of
@@ -115,19 +154,6 @@ func (t *binTable) init(bins int) {
 // x^25/25) is below 4e-16 at the domain edge — invisible against the front
 // end's 1e-12 equivalence bound — and it costs no division and no call.
 func atanSmall(x float64) float64 {
-	const (
-		c1  = -1.0 / 3
-		c2  = 1.0 / 5
-		c3  = -1.0 / 7
-		c4  = 1.0 / 9
-		c5  = -1.0 / 11
-		c6  = 1.0 / 13
-		c7  = -1.0 / 15
-		c8  = 1.0 / 17
-		c9  = -1.0 / 19
-		c10 = 1.0 / 21
-		c11 = -1.0 / 23
-	)
 	z := x * x
 	z2 := z * z
 	z4 := z2 * z2
@@ -229,6 +255,7 @@ type fusedCtx struct {
 	bins           int
 	maxX, maxY     int // whole-cell pixel extent
 	interp         bool
+	vec            bool // interior rows vote through voteRun
 	bt             *binTable
 	hist           []float64 // dst.Hist
 	halo           []float64 // numBands * 2 * cellsX * bins, interp only
@@ -239,8 +266,9 @@ type fusedCtx struct {
 // luminance/halo/threshold scratch. dst.Hist must already have the right
 // length; its contents are overwritten. workers bounds the parallelism of
 // the luminance rows and the cell bands; every worker count yields
-// byte-identical histograms.
-func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, workers int) error {
+// byte-identical histograms. Once ctx is done no further luminance row run
+// or band starts, and the error wraps ctx.Err().
+func computeCellsImpl(ctx context.Context, img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, workers int) error {
 	w, h := img.W, img.H
 	cellsX, cellsY := dst.CellsX, dst.CellsY
 	if s.bt.bins != cfg.Bins {
@@ -273,6 +301,7 @@ func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, 
 		maxX:    cellsX * cfg.CellSize,
 		maxY:    cellsY * cfg.CellSize,
 		interp:  cfg.InterpolateCells,
+		vec:     cellKernel.Load() && s.bt.poly,
 		bt:      &s.bt,
 		hist:    dst.Hist,
 	}
@@ -289,10 +318,10 @@ func computeCellsImpl(img *imgproc.Gray, cfg Config, dst *CellGrid, s *Scratch, 
 	// worker (every pixel converts independently).
 	parts := max(workers, 1)
 	fc.lumRows = (h + parts - 1) / parts
-	if err := par.Do(context.TODO(), (h+fc.lumRows-1)/fc.lumRows, workers, s.lumJob); err != nil {
+	if err := par.Do(ctx, (h+fc.lumRows-1)/fc.lumRows, workers, s.lumJob); err != nil {
 		return fmt.Errorf("hog: luminance: %w", err)
 	}
-	if err := par.Do(context.TODO(), fc.numBands, workers, s.bandJob); err != nil {
+	if err := par.Do(ctx, fc.numBands, workers, s.bandJob); err != nil {
 		return fmt.Errorf("hog: cell bands: %w", err)
 	}
 
@@ -404,19 +433,6 @@ func (fc *fusedCtx) vote(h []float64, gx, gy, m2 float64) {
 	x := v / u
 	var a float64
 	if t.poly {
-		const (
-			c1  = -1.0 / 3
-			c2  = 1.0 / 5
-			c3  = -1.0 / 7
-			c4  = 1.0 / 9
-			c5  = -1.0 / 11
-			c6  = 1.0 / 13
-			c7  = -1.0 / 15
-			c8  = 1.0 / 17
-			c9  = -1.0 / 19
-			c10 = 1.0 / 21
-			c11 = -1.0 / 23
-		)
 		z := x * x
 		z2 := z * z
 		z4 := z2 * z2
@@ -469,6 +485,25 @@ func (fc *fusedCtx) rowInterior(y int, histRow []float64) {
 	if clampRight {
 		xEnd = w - 1
 	}
+	if fc.vec {
+		fc.voteRun(here, above, below, histRow, 1, xEnd)
+	} else {
+		fc.interiorCells(here, above, below, histRow, xEnd)
+	}
+	if clampRight {
+		x := w - 1
+		gx := here[x] - here[x-1]
+		gy := below[x] - above[x]
+		if m2 := gx*gx + gy*gy; m2 != 0 {
+			fc.vote(histRow[(fc.cellsX-1)*fc.bins:fc.cellsX*fc.bins], gx, gy, m2)
+		}
+	}
+}
+
+// interiorCells is the scalar form of voteRun over the interior pixels
+// [1, xEnd): each cell span runs through equal-length slice windows, so
+// the inner loop carries no bounds checks.
+func (fc *fusedCtx) interiorCells(here, above, below, histRow []float64, xEnd int) {
 	for cx := 0; cx < fc.cellsX; cx++ {
 		x0 := cx * fc.cell
 		if x0 == 0 {
@@ -494,14 +529,6 @@ func (fc *fusedCtx) rowInterior(y int, histRow []float64) {
 				continue
 			}
 			fc.vote(h, gx, gy, m2)
-		}
-	}
-	if clampRight {
-		x := w - 1
-		gx := here[x] - here[x-1]
-		gy := below[x] - above[x]
-		if m2 := gx*gx + gy*gy; m2 != 0 {
-			fc.vote(histRow[(fc.cellsX-1)*fc.bins:fc.cellsX*fc.bins], gx, gy, m2)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package hog
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,7 +11,9 @@ import (
 // FuzzComputeCells differentially fuzzes the fused fast path against
 // ReferenceComputeCells: arbitrary pixel payloads, dimensions, and the
 // Config bits that reach the front end. Any histogram divergence beyond
-// float rounding is a bug in the fused pass.
+// float rounding is a bug in the fused pass, and any bit of divergence
+// between the vector cell kernel and the scalar vote is a bug in the
+// kernel.
 func FuzzComputeCells(f *testing.F) {
 	// Seed corpus: the adversarial shapes of the differential sweep.
 	f.Add([]byte{0}, uint8(16), uint8(16), uint8(0))
@@ -56,9 +59,21 @@ func FuzzComputeCells(f *testing.F) {
 					i, got.Hist[i], ref.Hist[i], d, w, h, cfg.SqrtGamma, cfg.InterpolateCells, cfg.Bins)
 			}
 		}
+		// The vector cell kernel must be byte-identical to the scalar vote.
+		if haveCellKernel {
+			for _, workers := range []int{1, 4} {
+				scalar := cellsWithKernel(t, false, img, cfg, workers)
+				vector := cellsWithKernel(t, true, img, cfg, workers)
+				for i := range scalar {
+					if math.Float64bits(scalar[i]) != math.Float64bits(vector[i]) {
+						t.Fatalf("workers=%d hist[%d]: vector kernel %.17g, scalar %.17g", workers, i, vector[i], scalar[i])
+					}
+				}
+			}
+		}
 		// The banded parallel path must be byte-identical to serial.
 		s := NewScratch()
-		gw, err := ComputeCellsInto(img, cfg, s, 4)
+		gw, err := ComputeCellsInto(context.Background(), img, cfg, s, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

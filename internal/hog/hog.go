@@ -22,6 +22,7 @@
 package hog
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/imgproc"
@@ -206,7 +207,7 @@ func ComputeCells(img *imgproc.Gray, cfg Config) (*CellGrid, error) {
 		Hist:   make([]float64, cellsX*cellsY*cfg.Bins),
 	}
 	s := scratchPool.Get().(*Scratch)
-	err = computeCellsImpl(img, cfg, grid, s, 1)
+	err = computeCellsImpl(context.Background(), img, cfg, grid, s, 1)
 	scratchPool.Put(s)
 	if err != nil {
 		return nil, err

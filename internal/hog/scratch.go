@@ -1,6 +1,7 @@
 package hog
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -77,8 +78,10 @@ func checkCells(img *imgproc.Gray, cfg Config) (cellsX, cellsY int, err error) {
 // ComputeCellsInto computes dense cell histograms into s's reusable grid
 // using the fused fast path, parallelized over luminance rows and cell-row
 // bands by up to `workers` goroutines (<= 1 means serial; results are
-// byte-identical at every worker count). The returned grid aliases s.
-func ComputeCellsInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*CellGrid, error) {
+// byte-identical at every worker count). The returned grid aliases s. It
+// observes ctx: once ctx is done no further row run or band starts, and the
+// error wraps ctx.Err() (the grid is then partly stale).
+func ComputeCellsInto(ctx context.Context, img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*CellGrid, error) {
 	cellsX, cellsY, err := checkCells(img, cfg)
 	if err != nil {
 		return nil, err
@@ -90,7 +93,7 @@ func ComputeCellsInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*
 	s.grid.CellsX, s.grid.CellsY, s.grid.Bins = cellsX, cellsY, cfg.Bins
 	s.grid.Hist = s.grid.Hist[:n]
 	t0 := time.Now()
-	if err := computeCellsImpl(img, cfg, &s.grid, s, workers); err != nil {
+	if err := computeCellsImpl(ctx, img, cfg, &s.grid, s, workers); err != nil {
 		return nil, err
 	}
 	s.Metrics.Observe(obs.StageHOGCells, time.Since(t0))
@@ -99,14 +102,15 @@ func ComputeCellsInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*
 
 // ComputeInto runs the full fused pipeline (cells + block normalization)
 // into s's reusable buffers, both stages on up to `workers` goroutines. The
-// returned map aliases s; see the Scratch ownership rules.
-func ComputeInto(img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*FeatureMap, error) {
-	grid, err := ComputeCellsInto(img, cfg, s, workers)
+// returned map aliases s; see the Scratch ownership rules. It observes ctx
+// like ComputeCellsInto, in both stages.
+func ComputeInto(ctx context.Context, img *imgproc.Gray, cfg Config, s *Scratch, workers int) (*FeatureMap, error) {
+	grid, err := ComputeCellsInto(ctx, img, cfg, s, workers)
 	if err != nil {
 		return nil, err
 	}
 	t0 := time.Now()
-	if err := s.normalizeInto(grid, cfg, &s.fm, workers); err != nil {
+	if err := s.normalizeInto(ctx, grid, cfg, &s.fm, workers); err != nil {
 		return nil, err
 	}
 	s.Metrics.Observe(obs.StageHOGNorm, time.Since(t0))

@@ -35,13 +35,24 @@ func (ip Interp) String() string {
 // pixel-center alignment (the same convention as OpenCV's resize), so
 // Resize(g, g.W, g.H, k) is the identity for every kernel.
 func Resize(g *Gray, w, h int, ip Interp) *Gray {
+	return ResizeInto(&Gray{}, g, w, h, ip)
+}
+
+// ResizeInto is Resize into dst, reusing dst's pixel storage when it holds
+// w*h samples (growing it otherwise), and returns dst. dst must not share
+// storage with g.
+func ResizeInto(dst, g *Gray, w, h int, ip Interp) *Gray {
 	if w <= 0 || h <= 0 {
 		panic(fmt.Sprintf("imgproc: invalid resize target %dx%d", w, h))
 	}
-	if w == g.W && h == g.H {
-		return g.Clone()
+	if cap(dst.Pix) < w*h {
+		dst.Pix = make([]uint8, w*h)
 	}
-	out := NewGray(w, h)
+	dst.W, dst.H, dst.Pix = w, h, dst.Pix[:w*h]
+	if w == g.W && h == g.H {
+		copy(dst.Pix, g.Pix)
+		return dst
+	}
 	sx := float64(g.W) / float64(w)
 	sy := float64(g.H) / float64(h)
 	for y := 0; y < h; y++ {
@@ -59,10 +70,10 @@ func Resize(g *Gray, w, h int, ip Interp) *Gray {
 			default:
 				panic(fmt.Sprintf("imgproc: unknown interpolation %d", ip))
 			}
-			out.Pix[y*w+x] = clamp8(v)
+			dst.Pix[y*w+x] = clamp8(v)
 		}
 	}
-	return out
+	return dst
 }
 
 // ResizeFloat resamples a floating-point image to w x h with the given
