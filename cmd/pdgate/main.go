@@ -13,7 +13,10 @@
 // — useful for exercising the gateway layer itself. The gateway speaks the
 // same wire protocol as pdserve (POST a PGM to /detect with X-Stream /
 // X-Deadline-Ms; GET /healthz, /readyz, /statsz, /metricsz), so serve.Client
-// and every existing tool point at it unchanged.
+// and every existing tool point at it unchanged. Both ends of that protocol
+// are one codec in internal/serve (wire.go): the gateway's front reads and
+// answers /detect with it, and its remote replicas are reached through
+// serve.PostDetect, the round trip serve.Client retries around.
 package main
 
 import (

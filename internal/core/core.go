@@ -91,7 +91,8 @@ type Config struct {
 	// OctavePyramid channel correction.
 	Scale featpyr.ScaleConfig
 	// Fixed configures the fixed-point scaler (FeaturePyramidFixed); nil
-	// uses featpyr.NewFixedScaler defaults.
+	// uses featpyr.NewFixedScaler defaults. A scaler builds each phase's
+	// shift-add networks once and may be shared between detectors.
 	Fixed *featpyr.FixedScaler
 	// Cascade selects staged early-rejection window scoring (see
 	// CascadeMode). CascadeCalibrated trades a measured miss bound for
@@ -492,6 +493,10 @@ func (d *Detector) imageLevels(ctx context.Context, frame *imgproc.Gray, fs *fra
 	return nil
 }
 
+// defaultFixed is the scaler of every configuration with a nil Fixed, shared
+// so that its phase networks are built once per process, not per frame.
+var defaultFixed = featpyr.NewFixedScaler()
+
 // fixedLevels builds the FeaturePyramidFixed levels into fs.pyr: the
 // chained pyramid of the bit-accurate shift-and-add scaler, each level
 // written into the pyramid's reusable store, level 0 the base map itself.
@@ -502,7 +507,7 @@ func (d *Detector) fixedLevels(ctx context.Context, frame *imgproc.Gray, base *h
 	}
 	scaler := d.cfg.Fixed
 	if scaler == nil {
-		scaler = featpyr.NewFixedScaler()
+		scaler = defaultFixed
 	}
 	p := &fs.pyr
 	p.Reset()

@@ -87,7 +87,7 @@ func ClassifyFeatureScaledFixed(model *svm.Model, img *imgproc.Gray, cfg Config)
 	if img.W != cfg.WindowW || img.H != cfg.WindowH {
 		scaler := cfg.Fixed
 		if scaler == nil {
-			scaler = featpyr.NewFixedScaler()
+			scaler = defaultFixed
 		}
 		rx := float64(img.W) / float64(cfg.WindowW)
 		ry := float64(img.H) / float64(cfg.WindowH)

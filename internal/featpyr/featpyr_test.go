@@ -2,8 +2,10 @@ package featpyr
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -611,6 +613,52 @@ func TestFixedScalerPooledScratch(t *testing.T) {
 	bad.Feat = bad.Feat[:5]
 	if _, err := s.ScaleInto(bad, base, 1, 1); err == nil {
 		t.Error("a target map whose storage does not fit its grid should error")
+	}
+}
+
+// TestFixedScalerSharedConcurrent: goroutines that share one scaler, and
+// so build its phase networks concurrently, reproduce the stats and the
+// exact bits of a scaler used alone, at two weight precisions.
+func TestFixedScalerSharedConcurrent(t *testing.T) {
+	base := randomMap(t, 256, 320, 41)
+	shared := NewFixedScaler()
+	for _, frac := range []int{8, 11} {
+		alone := NewFixedScaler()
+		alone.WeightFrac = frac
+		shared.WeightFrac = frac
+		factors := []float64{1.1, 1.21, 1.5, 2}
+		want := make([]*hog.FeatureMap, len(factors))
+		wantStats := make([]*ScaleStats, len(factors))
+		for i, f := range factors {
+			var err error
+			if want[i], wantStats[i], err = alone.ScaleMapBy(base, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errs := make(chan string, 4*len(factors))
+		for g := 0; g < 4; g++ {
+			for i, f := range factors {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, st, err := shared.ScaleMapBy(base, f)
+					switch {
+					case err != nil:
+						errs <- err.Error()
+					case *st != *wantStats[i]:
+						errs <- fmt.Sprintf("frac %d factor %v: stats %+v, alone %+v", frac, f, *st, *wantStats[i])
+					case sameBits(got.Feat, want[i].Feat) >= 0:
+						errs <- fmt.Sprintf("frac %d factor %v: features differ from the scaler used alone", frac, f)
+					}
+				}()
+			}
+		}
+		wg.Wait()
+		close(errs)
+		for e := range errs {
+			t.Error(e)
+		}
 	}
 }
 

@@ -3,21 +3,28 @@ package featpyr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/fixed"
 	"repro/internal/hog"
 )
 
-// qfPool recycles the quantized-input scratch of ScaleMapRatio; the slice is
-// only live for the duration of one call.
+// qfPool recycles the scratch of ScaleInto; the slice is only live for the
+// duration of one call. Getting and putting the same pointer back keeps a
+// warm call free of allocations.
 var qfPool sync.Pool // holds *[]int64
 
-func getQF(n int) []int64 {
-	if p, ok := qfPool.Get().(*[]int64); ok && cap(*p) >= n {
-		return (*p)[:n]
+func getQF(n int) *[]int64 {
+	p, _ := qfPool.Get().(*[]int64)
+	if p == nil {
+		p = new([]int64)
 	}
-	return make([]int64, n)
+	if cap(*p) < n {
+		*p = make([]int64, n)
+	}
+	*p = (*p)[:n]
+	return p
 }
 
 // FixedScaler is a bit-accurate software model of the hardware's
@@ -35,6 +42,65 @@ type FixedScaler struct {
 	// WeightFrac is the fractional precision of the interpolation
 	// coefficients (default 8 bits).
 	WeightFrac int
+
+	// nets holds the shift-add networks of every interpolation phase the
+	// scaler has met, built once each: the hardware has one network per
+	// phase, reused across rows, columns, levels and frames. Phases share
+	// the networks of equal coefficients (coeffs), so at one WeightFrac
+	// the cache holds at most 2^WeightFrac+1 networks. Concurrent
+	// detectors may share one scaler.
+	mu     sync.Mutex
+	nets   map[phaseKey]phaseNets
+	coeffs map[coeffKey]*fixed.ShiftAdd
+}
+
+// phaseKey is one interpolation phase: the quantized fractional offsets
+// ax, ay of a sample, at the WeightFrac they were quantized with.
+type phaseKey struct {
+	frac   int
+	ax, ay int64
+}
+
+// coeffKey is one quantized coefficient at one WeightFrac.
+type coeffKey struct {
+	frac int
+	c    float64
+}
+
+// phaseNets holds the networks of the four bilinear weights of one phase
+// and their hardware cost.
+type phaseNets struct {
+	w      [4]*fixed.ShiftAdd
+	adders int
+}
+
+// phaseNets returns the networks of phase k, building them on first use.
+func (s *FixedScaler) phaseNets(k phaseKey) phaseNets {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.nets[k]; ok {
+		return p
+	}
+	if s.nets == nil {
+		s.nets = make(map[phaseKey]phaseNets)
+		s.coeffs = make(map[coeffKey]*fixed.ShiftAdd)
+	}
+	one := float64(int64(1) << uint(k.frac))
+	ax, ay := float64(k.ax)/one, float64(k.ay)/one
+	var p phaseNets
+	for i, c := range [4]float64{(1 - ax) * (1 - ay), ax * (1 - ay), (1 - ax) * ay, ax * ay} {
+		net := fixed.NewShiftAdd(c, k.frac)
+		ck := coeffKey{k.frac, net.Coefficient()}
+		if shared := s.coeffs[ck]; shared != nil {
+			net = shared
+		} else {
+			s.coeffs[ck] = net
+		}
+		p.w[i] = net
+	}
+	p.adders = adderEstimate(p.w[0], p.w[1], p.w[2], p.w[3])
+	s.nets[k] = p
+	return p
 }
 
 // NewFixedScaler returns a scaler with the paper-plausible default widths:
@@ -81,48 +147,49 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 	if err != nil {
 		return nil, nil, err
 	}
-	return out, stats, nil
+	return out, &stats, nil
 }
 
 // ScaleInto is ScaleMapRatio writing into caller storage: dst must hold its
 // target grid, BlocksX x BlocksY blocks of fm.BlockLen features (a map from
 // Pyramid.Map, say), and every feature is overwritten.
-func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (*ScaleStats, error) {
+func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (ScaleStats, error) {
 	outBX, outBY := dst.BlocksX, dst.BlocksY
 	if outBX < 1 || outBY < 1 || dst.BlockLen != fm.BlockLen || len(dst.Feat) != outBX*outBY*fm.BlockLen {
-		return nil, fmt.Errorf("featpyr: target map %dx%d with %d features does not fit blocks of %d",
+		return ScaleStats{}, fmt.Errorf("featpyr: target map %dx%d with %d features does not fit blocks of %d",
 			outBX, outBY, len(dst.Feat), fm.BlockLen)
 	}
 	if rx <= 0 || ry <= 0 {
-		return nil, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
+		return ScaleStats{}, fmt.Errorf("featpyr: non-positive sampling ratios %g, %g", rx, ry)
 	}
 	if err := s.FeatFmt.Validate(); err != nil {
-		return nil, err
+		return ScaleStats{}, err
 	}
-	if s.WeightFrac < 1 || s.WeightFrac > 30 {
-		return nil, fmt.Errorf("featpyr: weight frac %d out of range", s.WeightFrac)
+	frac := s.WeightFrac
+	if frac < 1 || frac > 30 {
+		return ScaleStats{}, fmt.Errorf("featpyr: weight frac %d out of range", frac)
 	}
 	// Quantize the whole input map once (in hardware the features already
-	// arrive in this format from the HOG normalizer).
-	qf := getQF(len(fm.Feat))
-	defer func() {
-		buf := qf[:0]
-		qfPool.Put(&buf)
-	}()
+	// arrive in this format from the HOG normalizer). The same scratch
+	// records each column's and each row's phase.
+	sp := getQF(len(fm.Feat) + outBX + outBY)
+	defer qfPool.Put(sp)
+	scratch := *sp
+	qf := scratch[:len(fm.Feat)]
+	px, py := scratch[len(fm.Feat):len(fm.Feat)+outBX], scratch[len(fm.Feat)+outBX:]
 	for i, v := range fm.Feat {
 		qf[i] = s.FeatFmt.FromFloat(v)
 	}
-	stats := &ScaleStats{OutputBlocks: outBX * outBY}
+	stats := ScaleStats{OutputBlocks: outBX * outBY}
 
-	sx := rx
-	sy := ry
 	n := fm.BlockLen
-	// Cache shift-add networks per quantized phase pair: the hardware has
-	// one network per phase, reused across the row/column.
-	type phaseKey struct{ ax, ay int64 }
-	cache := map[phaseKey][4]*fixed.ShiftAdd{}
-	one := int64(1) << uint(s.WeightFrac)
-
+	one := float64(int64(1) << uint(frac))
+	// phase splits a source coordinate into its cell and its offset in the
+	// cell, quantized to frac bits.
+	phase := func(f float64) (int, int64) {
+		i := int(math.Floor(f))
+		return i, int64(math.Floor((f-float64(i))*one + 0.5))
+	}
 	block := func(bx, by int) []int64 {
 		bx = clampi(bx, 0, fm.BlocksX-1)
 		by = clampi(by, 0, fm.BlocksY-1)
@@ -131,30 +198,14 @@ func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (*Scale
 	}
 
 	for oy := 0; oy < outBY; oy++ {
-		fy := (float64(oy)+0.5)*sy - 0.5
-		y0 := int(math.Floor(fy))
-		qay := int64(math.Floor((fy-float64(y0))*float64(one) + 0.5))
+		y0, qay := phase((float64(oy)+0.5)*ry - 0.5)
+		py[oy] = qay
 		for ox := 0; ox < outBX; ox++ {
-			fx := (float64(ox)+0.5)*sx - 0.5
-			x0 := int(math.Floor(fx))
-			qax := int64(math.Floor((fx-float64(x0))*float64(one) + 0.5))
-
-			key := phaseKey{qax, qay}
-			nets, ok := cache[key]
-			if !ok {
-				toF := func(q int64) float64 { return float64(q) / float64(one) }
-				ax, ay := toF(qax), toF(qay)
-				nets = [4]*fixed.ShiftAdd{
-					fixed.NewShiftAdd((1-ax)*(1-ay), s.WeightFrac),
-					fixed.NewShiftAdd(ax*(1-ay), s.WeightFrac),
-					fixed.NewShiftAdd((1-ax)*ay, s.WeightFrac),
-					fixed.NewShiftAdd(ax*ay, s.WeightFrac),
-				}
-				cache[key] = nets
-				if a := adderEstimate(nets[0], nets[1], nets[2], nets[3]); a > stats.MaxAdders {
-					stats.MaxAdders = a
-				}
-			}
+			x0, qax := phase((float64(ox)+0.5)*rx - 0.5)
+			px[ox] = qax
+			p := s.phaseNets(phaseKey{frac, qax, qay})
+			stats.MaxAdders = max(stats.MaxAdders, p.adders)
+			nets := &p.w
 
 			c00 := block(x0, y0)
 			c10 := block(x0+1, y0)
@@ -168,7 +219,11 @@ func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (*Scale
 			}
 		}
 	}
-	stats.Phases = len(cache)
+	// Every column meets every row, so the distinct phase pairs are the
+	// distinct column phases times the distinct row phases.
+	slices.Sort(px)
+	slices.Sort(py)
+	stats.Phases = len(slices.Compact(px)) * len(slices.Compact(py))
 	return stats, nil
 }
 

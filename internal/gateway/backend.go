@@ -3,16 +3,12 @@ package gateway
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"time"
 
 	"repro/internal/eval"
-	"repro/internal/geom"
 	"repro/internal/imgproc"
 	"repro/internal/serve"
 )
@@ -65,13 +61,14 @@ func (b *LocalBackend) Probe(context.Context) error {
 }
 
 // HTTPBackend is a remote detection server (the serve.Server endpoint
-// contract). Unlike serve.Client it performs exactly one attempt per
-// Detect call: retry and hedge policy live in the gateway, and a backend
-// that silently retried would spend the budget twice.
+// contract). Its Detect is one serve.PostDetect, the round trip
+// serve.Client retries around: retry and hedge policy live in the
+// gateway, and a backend that silently retried would spend the budget
+// twice.
 type HTTPBackend struct {
 	// Base is the server's base URL, e.g. "http://127.0.0.1:8080".
 	Base string
-	// Client is the transport; nil means a plain &http.Client{} (the
+	// Client is the transport; nil means http.DefaultClient (the
 	// per-call context carries the deadline).
 	Client *http.Client
 }
@@ -91,40 +88,7 @@ func (b *HTTPBackend) Detect(ctx context.Context, stream int, frame *imgproc.Gra
 	if err := imgproc.WritePGM(&body, frame); err != nil {
 		return nil, fmt.Errorf("gateway: encoding frame: %w", err)
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, b.Base+"/detect", &body)
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("X-Stream", strconv.Itoa(stream))
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set("X-Deadline-Ms", strconv.FormatInt(ms, 10))
-	}
-	resp, err := b.client().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, &serve.APIError{
-			Status:     resp.StatusCode,
-			Message:    readErrorMessage(resp.Body),
-			RetryAfter: serve.ParseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	var dr serve.DetectResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&dr); err != nil {
-		return nil, fmt.Errorf("gateway: decoding response: %w", err)
-	}
-	dets := make([]eval.Detection, 0, len(dr.Detections))
-	for _, d := range dr.Detections {
-		dets = append(dets, eval.Detection{Box: geom.XYWH(d.X, d.Y, d.W, d.H), Score: d.Score})
-	}
-	return dets, nil
+	return serve.PostDetect(ctx, b.client(), b.Base, stream, body.Bytes())
 }
 
 // Probe is one GET /readyz round trip.
@@ -143,20 +107,4 @@ func (b *HTTPBackend) Probe(ctx context.Context) error {
 		return fmt.Errorf("readyz: HTTP %d", resp.StatusCode)
 	}
 	return nil
-}
-
-// readErrorMessage extracts the error string from a JSON error body,
-// falling back to the raw text. (Mirror of serve's unexported helper.)
-func readErrorMessage(r io.Reader) string {
-	raw, err := io.ReadAll(io.LimitReader(r, 4096))
-	if err != nil || len(raw) == 0 {
-		return "(no body)"
-	}
-	var er struct {
-		Error string `json:"error"`
-	}
-	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-		return er.Error
-	}
-	return string(bytes.TrimSpace(raw))
 }

@@ -2,14 +2,11 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 	"time"
 
-	"repro/internal/imgproc"
 	"repro/internal/obs"
 	"repro/internal/serve"
 )
@@ -40,14 +37,18 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server is the HTTP front of a Gateway, speaking the same endpoint
 // contract as serve.Server so serve.Client (and the loadgen) can point at
-// a gateway unchanged:
+// a gateway unchanged. It reads requests and writes answers through
+// serve's wire codec (serve.ReadDetect, serve.WriteDetections,
+// serve.WriteUnavailable, ...), so both fronts put the same bytes on the
+// wire:
 //
 //	POST /detect   PGM frame in, DetectResponse JSON out; X-Stream pins
 //	               affinity, X-Deadline-Ms bounds the request. 503 when
 //	               every replica failed (Retry-After set), 504 on
 //	               deadline, upstream status otherwise.
 //	GET  /healthz  200 while the process is alive.
-//	GET  /readyz   200 while at least one replica is in rotation.
+//	GET  /readyz   200 while at least one replica is in rotation; 503
+//	               with Retry-After otherwise.
 //	GET  /statsz   Stats JSON (gateway counters + per-replica view).
 //	GET  /metricsz Prometheus text: gateway counters, hedge delay, and
 //	               per-replica latency summaries/counters.
@@ -72,43 +73,12 @@ func NewServer(gw *Gateway, cfg ServerConfig) *Server {
 // Handler returns the HTTP handler serving the contract above.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a PGM frame"})
+	if serve.RejectNonPost(w, r) {
 		return
 	}
-	stream := 0
-	if v := r.Header.Get("X-Stream"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad X-Stream: " + err.Error()})
-			return
-		}
-		stream = n
-	}
-	timeout := s.cfg.DefaultTimeout
-	if v := r.Header.Get("X-Deadline-Ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms <= 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("bad X-Deadline-Ms %q", v)})
-			return
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-	frame, err := imgproc.ReadPGM(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	stream, timeout, frame, err := serve.ReadDetect(w, r, s.cfg.DefaultTimeout, s.cfg.MaxBodyBytes, nil)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad PGM frame: " + err.Error()})
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -116,28 +86,21 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	dets, err := s.gw.Do(ctx, stream, frame)
 	switch {
 	case err == nil:
-		resp := serve.DetectResponse{Stream: stream, Detections: make([]serve.Detection, 0, len(dets))}
-		for _, d := range dets {
-			resp.Detections = append(resp.Detections, serve.Detection{
-				X: d.Box.Min.X, Y: d.Box.Min.Y, W: d.Box.W(), H: d.Box.H(), Score: d.Score,
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
+		serve.WriteDetections(w, stream, dets)
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
+		serve.WriteError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request cancelled"})
+		serve.WriteError(w, http.StatusServiceUnavailable, "request cancelled")
 	default:
 		// A pass-through upstream status keeps its code; everything else
 		// (every replica failed, pool empty) is 503 + Retry-After so a
 		// serve.Client in front retries with backoff.
 		var ae *serve.APIError
 		if errors.As(err, &ae) && !ae.Transient() {
-			writeJSON(w, ae.Status, errorResponse{Error: ae.Message})
+			serve.WriteError(w, ae.Status, ae.Message)
 			return
 		}
-		w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', 3, 64))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+		serve.WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, err.Error())
 	}
 }
 
@@ -160,15 +123,14 @@ func (s *Server) Ready() (bool, string) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if ready, reason := s.Ready(); !ready {
-		w.Header().Set("Retry-After", strconv.FormatFloat(s.cfg.RetryAfter.Seconds(), 'f', 3, 64))
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: reason})
+		serve.WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, reason)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+	serve.WriteOK(w, map[string]bool{"ready": true})
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.gw.Stats())
+	serve.WriteOK(w, s.gw.Stats())
 }
 
 func (s *Server) handleMetricsz(w http.ResponseWriter, r *http.Request) {

@@ -12,8 +12,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/imgproc"
+	"repro/internal/rt"
 	"repro/internal/serve"
+	"repro/internal/svm"
 )
 
 // newTestGatewayServer builds an httptest server over a gateway of
@@ -219,5 +222,116 @@ func TestHTTPBackend(t *testing.T) {
 	}
 	if err := b.Probe(ctx); err == nil {
 		t.Error("probe of an unready replica must fail")
+	}
+}
+
+// TestServerRejectsBadInputLikeServe sends serve's bad-input cases to the
+// gateway's front and to a replica's serve.Server with the same body cap:
+// both must answer with the same status, headers and body, and the
+// gateway's pool must never see the request.
+func TestServerRejectsBadInputLikeServe(t *testing.T) {
+	const maxBody = 1 << 12
+	sup, err := serve.NewSupervisor(func(int) (*core.Detector, error) {
+		cfg := core.DefaultConfig()
+		cfg.Workers = 1
+		return core.NewDetector(&svm.Model{W: make([]float64, cfg.DescriptorLen())}, cfg)
+	}, serve.SupervisorConfig{Workers: 1, Pipeline: rt.Config{Deadline: 10 * time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	replica := httptest.NewServer(serve.NewServer(sup, serve.ServerConfig{MaxBodyBytes: maxBody}).Handler())
+	defer replica.Close()
+	g, err := New([]Backend{&scriptBackend{}}, Config{ProbeInterval: -1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	front := httptest.NewServer(NewServer(g, ServerConfig{MaxBodyBytes: maxBody}).Handler())
+	defer front.Close()
+
+	frame := pgmBody(t).Bytes()
+	oversize := append([]byte("P5\n128 128\n255\n"), make([]byte, 128*128)...)
+	cases := []struct {
+		name, method string
+		body         []byte
+		hdr          map[string]string
+		status       int
+		msg          string
+	}{
+		{"bad stream", http.MethodPost, frame, map[string]string{"X-Stream": "abc"}, 400, "bad X-Stream: "},
+		{"zero deadline", http.MethodPost, frame, map[string]string{"X-Deadline-Ms": "0"}, 400, `bad X-Deadline-Ms "0"`},
+		{"negative deadline", http.MethodPost, frame, map[string]string{"X-Deadline-Ms": "-5"}, 400, `bad X-Deadline-Ms "-5"`},
+		{"unparsable deadline", http.MethodPost, frame, map[string]string{"X-Deadline-Ms": "soon"}, 400, `bad X-Deadline-Ms "soon"`},
+		{"overflowing deadline", http.MethodPost, frame, map[string]string{"X-Deadline-Ms": "9223372036855"}, 400, `bad X-Deadline-Ms "9223372036855"`},
+		{"corrupt frame", http.MethodPost, []byte("P5\nnot a frame"), nil, 400, "bad PGM frame: "},
+		{"truncated frame", http.MethodPost, frame[:len(frame)/2], nil, 400, "bad PGM frame: "},
+		{"oversize body", http.MethodPost, oversize, nil, 400, "bad PGM frame: "},
+		{"GET", http.MethodGet, nil, nil, 405, "POST a PGM frame"},
+	}
+	do := func(base string, method string, body []byte, hdr map[string]string) (*http.Response, []byte) {
+		req, err := http.NewRequest(method, base+"/detect", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, raw
+	}
+	for _, c := range cases {
+		want, wantBody := do(replica.URL, c.method, c.body, c.hdr)
+		got, gotBody := do(front.URL, c.method, c.body, c.hdr)
+		if got.StatusCode != c.status || want.StatusCode != c.status {
+			t.Errorf("%s: gateway %d, serve %d, want %d", c.name, got.StatusCode, want.StatusCode, c.status)
+		}
+		var er struct{ Error string }
+		if err := json.Unmarshal(gotBody, &er); err != nil || !strings.HasPrefix(er.Error, c.msg) {
+			t.Errorf("%s: gateway body %q, want an error starting %q", c.name, gotBody, c.msg)
+		}
+		if !bytes.Equal(gotBody, wantBody) {
+			t.Errorf("%s: gateway body %q, serve body %q", c.name, gotBody, wantBody)
+		}
+		for _, h := range []string{"Content-Type", "Allow", "Retry-After"} {
+			if got.Header.Get(h) != want.Header.Get(h) {
+				t.Errorf("%s: gateway %s %q, serve %q", c.name, h, got.Header.Get(h), want.Header.Get(h))
+			}
+		}
+	}
+	if st := g.Stats(); st.Accepted != 0 {
+		t.Errorf("bad input reached the pool: accepted = %d, want 0", st.Accepted)
+	}
+}
+
+// TestServerRetryAfterFloor: a sub-millisecond RetryAfter goes out at the
+// codec's 1 ms floor, not as "0.000", which clients read as "retry now".
+func TestServerRetryAfterFloor(t *testing.T) {
+	down := &serve.APIError{Status: 503, Message: "down"}
+	g, err := New([]Backend{&scriptBackend{err: down}}, Config{ProbeInterval: -1, Seed: 11})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ts := httptest.NewServer(NewServer(g, ServerConfig{RetryAfter: 400 * time.Microsecond}).Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/detect", "application/octet-stream", pgmBody(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "0.001" {
+		t.Errorf("total failure = %d with Retry-After %q, want 503 with 0.001",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }

@@ -3,20 +3,15 @@ package serve
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"net/http"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/eval"
-	"repro/internal/geom"
 	"repro/internal/imgproc"
 )
 
@@ -59,29 +54,6 @@ func (c ClientConfig) withDefaults() ClientConfig {
 		c.HTTPClient = &http.Client{}
 	}
 	return c
-}
-
-// APIError is a non-2xx response from the server.
-type APIError struct {
-	Status  int
-	Message string
-	// RetryAfter is the server's retry hint, when it sent one.
-	RetryAfter time.Duration
-}
-
-// Error implements the error interface.
-func (e *APIError) Error() string {
-	return fmt.Sprintf("serve: HTTP %d: %s", e.Status, e.Message)
-}
-
-// Transient reports whether the failure is worth retrying: load shed (429),
-// unavailable (503), or timed out upstream (504).
-func (e *APIError) Transient() bool {
-	switch e.Status {
-	case http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
-		return true
-	}
-	return false
 }
 
 // Client calls a Server with retry-on-transient semantics: 429/503/504 and
@@ -151,7 +123,7 @@ func (c *Client) Detect(ctx context.Context, stream int, frame *imgproc.Gray) ([
 		if err := ctx.Err(); err != nil {
 			return nil, c.deadlineError(err, lastErr)
 		}
-		dets, retryAfter, err := c.attempt(ctx, stream, payload)
+		dets, err := PostDetect(ctx, c.cfg.HTTPClient, c.base, stream, payload)
 		if err == nil {
 			return dets, nil
 		}
@@ -162,7 +134,12 @@ func (c *Client) Detect(ctx context.Context, stream int, frame *imgproc.Gray) ([
 		if attempt == c.cfg.MaxAttempts {
 			break
 		}
-		wait := c.backoff(attempt, retryAfter)
+		var ae *APIError
+		var hint time.Duration
+		if errors.As(err, &ae) {
+			hint = ae.RetryAfter
+		}
+		wait := c.backoff(attempt, hint)
 		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < wait {
 			// The backoff would outlive the budget; report the transient
 			// failure rather than sleeping into a guaranteed deadline.
@@ -203,100 +180,4 @@ func transient(err error) bool {
 	// Context expiry is terminal, anything else transport-level is worth
 	// a retry.
 	return !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled)
-}
-
-// attempt is one HTTP round trip.
-func (c *Client) attempt(ctx context.Context, stream int, payload []byte) ([]eval.Detection, time.Duration, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/detect", bytes.NewReader(payload))
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	req.Header.Set("X-Stream", strconv.Itoa(stream))
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		req.Header.Set("X-Deadline-Ms", strconv.FormatInt(ms, 10))
-	}
-	resp, err := c.cfg.HTTPClient.Do(req)
-	if err != nil {
-		return nil, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg := readErrorMessage(resp.Body)
-		return nil, ParseRetryAfter(resp.Header.Get("Retry-After")), &APIError{
-			Status:     resp.StatusCode,
-			Message:    msg,
-			RetryAfter: ParseRetryAfter(resp.Header.Get("Retry-After")),
-		}
-	}
-	var dr DetectResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&dr); err != nil {
-		return nil, 0, fmt.Errorf("serve: decoding response: %w", err)
-	}
-	dets := make([]eval.Detection, 0, len(dr.Detections))
-	for _, d := range dr.Detections {
-		dets = append(dets, eval.Detection{Box: geom.XYWH(d.X, d.Y, d.W, d.H), Score: d.Score})
-	}
-	return dets, 0, nil
-}
-
-// readErrorMessage extracts the error string from a JSON error body,
-// falling back to the raw text.
-func readErrorMessage(r io.Reader) string {
-	raw, err := io.ReadAll(io.LimitReader(r, 4096))
-	if err != nil || len(raw) == 0 {
-		return "(no body)"
-	}
-	var er errorResponse
-	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-		return er.Error
-	}
-	return string(bytes.TrimSpace(raw))
-}
-
-// maxRetryAfter caps a parsed Retry-After hint. The header is an unsigned
-// unauthenticated suggestion from the network: a hostile or buggy server
-// can send "1e300" (finite, so it parses) and a naive float-to-Duration
-// conversion overflows into garbage. One day is far beyond any retry
-// horizon this client serves; Client.backoff additionally clamps the hint
-// to its own BackoffMax.
-const maxRetryAfter = 24 * time.Hour
-
-// ParseRetryAfter reads a Retry-After header in any of the forms this
-// stack meets: this server's fractional seconds ("0.250"), RFC 9110
-// delay-seconds ("120"), and the RFC 9110 HTTP-date form (the remaining
-// wait is measured against the local clock). Unparseable, non-finite
-// (NaN/Inf pass strconv.ParseFloat but are not durations), negative, or
-// already-elapsed hints return 0 — "no hint" — and anything huge clamps
-// to maxRetryAfter, so a hostile header can never manufacture an
-// overflowed or unbounded backoff. Exported for callers that layer their
-// own retry policy over this package's wire contract (internal/gateway).
-func ParseRetryAfter(v string) time.Duration {
-	if v == "" {
-		return 0
-	}
-	if secs, err := strconv.ParseFloat(v, 64); err == nil {
-		if math.IsNaN(secs) || math.IsInf(secs, 0) || secs < 0 {
-			return 0
-		}
-		if secs > maxRetryAfter.Seconds() {
-			return maxRetryAfter
-		}
-		return time.Duration(secs * float64(time.Second))
-	}
-	if t, err := http.ParseTime(v); err == nil {
-		d := time.Until(t)
-		if d <= 0 {
-			return 0
-		}
-		if d > maxRetryAfter {
-			return maxRetryAfter
-		}
-		return d
-	}
-	return 0
 }

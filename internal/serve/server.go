@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/imgproc"
 	"repro/internal/obs"
 	"repro/internal/rt"
 )
@@ -76,26 +74,6 @@ type ServerStats struct {
 	Draining        bool   `json:"draining"`
 }
 
-// Detection is the JSON wire form of one detection box.
-type Detection struct {
-	X     int     `json:"x"`
-	Y     int     `json:"y"`
-	W     int     `json:"w"`
-	H     int     `json:"h"`
-	Score float64 `json:"score"`
-}
-
-// DetectResponse is the JSON body of a successful POST /detect.
-type DetectResponse struct {
-	Stream     int         `json:"stream"`
-	Detections []Detection `json:"detections"`
-}
-
-// errorResponse is the JSON body of a failed request.
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
 // statszResponse is the JSON body of GET /statsz.
 type statszResponse struct {
 	Server     ServerStats     `json:"server"`
@@ -132,8 +110,10 @@ type statszResponse struct {
 //	GET  /tracez   tracezResponse JSON: the slowest frames retained by the
 //	               trace ring, slowest first (empty without Metrics).
 //
-// Retry-After values carry fractional seconds (e.g. "0.250"); integer-
-// second parsers read them as a standard hint after truncation.
+// Retry-After values carry fractional seconds (e.g. "0.250", never below
+// "0.001"); integer-second parsers read them as a standard hint after
+// truncation. The /detect request and answer forms are the codec in
+// wire.go, shared with the gateway's front and with both clients.
 type Server struct {
 	cfg     ServerConfig
 	sup     *Supervisor
@@ -246,37 +226,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// retryAfterValue renders a Retry-After header with fractional seconds.
-// The rendered value is clamped to a 1 ms floor: the three-decimal format
-// turns any shorter (or zero, or negative) hint into "0.000" — or a
-// negative string — which clients round to "retry immediately" and hammer
-// the server with, defeating the backoff the header exists to provide.
-func retryAfterValue(d time.Duration) string {
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return strconv.FormatFloat(d.Seconds(), 'f', 3, 64)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func (s *Server) writeUnavailable(w http.ResponseWriter, status int, retryAfter time.Duration, msg string) {
-	w.Header().Set("Retry-After", retryAfterValue(retryAfter))
-	writeJSON(w, status, errorResponse{Error: msg})
-}
-
 func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, errorResponse{Error: "POST a PGM frame"})
+	if RejectNonPost(w, r) {
 		return
 	}
 	if !s.beginRequest() {
-		s.writeUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "draining")
+		WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, "draining")
 		return
 	}
 	var reqErr error
@@ -293,7 +248,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.shed++
 		s.mu.Unlock()
 		reqErr = errors.New("shed")
-		s.writeUnavailable(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "admission queue full")
+		WriteUnavailable(w, http.StatusTooManyRequests, s.cfg.RetryAfter, "admission queue full")
 		return
 	}
 
@@ -304,7 +259,7 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		s.rejected++
 		s.mu.Unlock()
 		reqErr = err
-		s.writeUnavailable(w, http.StatusServiceUnavailable, retryAfter, "circuit breaker open")
+		WriteUnavailable(w, http.StatusServiceUnavailable, retryAfter, "circuit breaker open")
 		return
 	}
 	admitted = true
@@ -312,41 +267,17 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	s.accepted++
 	s.mu.Unlock()
 
-	stream := 0
-	if v := r.Header.Get("X-Stream"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			reqErr = err
-			s.breaker.Record(nil) // client fault, not a detector failure
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad X-Stream: " + err.Error()})
-			return
-		}
-		stream = n
+	// Decode is recorded straight into the shared stage histogram (it is
+	// atomic); the per-frame trace stages come from the pipeline's
+	// recorder and therefore do not include decode.
+	var decode *obs.Histogram
+	if m := s.cfg.Metrics; m != nil {
+		decode = &m.Stage[obs.StageDecode]
 	}
-	timeout := s.cfg.DefaultTimeout
-	if v := r.Header.Get("X-Deadline-Ms"); v != "" {
-		ms, err := strconv.Atoi(v)
-		if err != nil || ms <= 0 {
-			reqErr = fmt.Errorf("bad X-Deadline-Ms %q", v)
-			s.breaker.Record(nil)
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: reqErr.Error()})
-			return
-		}
-		timeout = time.Duration(ms) * time.Millisecond
-	}
-
-	decode0 := time.Now()
-	frame, err := imgproc.ReadPGM(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if m := s.cfg.Metrics; m != nil && err == nil {
-		// Decode is recorded straight into the shared stage histogram (it
-		// is atomic); the per-frame trace stages come from the pipeline's
-		// recorder and therefore do not include decode.
-		m.Stage[obs.StageDecode].Observe(time.Since(decode0))
-	}
+	stream, timeout, frame, err := ReadDetect(w, r, s.cfg.DefaultTimeout, s.cfg.MaxBodyBytes, decode)
 	if err != nil {
 		reqErr = err
-		s.breaker.Record(nil) // corrupt upload is the client's fault
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad PGM frame: " + err.Error()})
+		s.breaker.Record(nil) // a bad request is the client's fault, not a detector failure
 		return
 	}
 
@@ -367,32 +298,26 @@ func (s *Server) handleDetect(w http.ResponseWriter, r *http.Request) {
 
 	switch {
 	case err == nil:
-		resp := DetectResponse{Stream: stream, Detections: make([]Detection, 0, len(dets))}
-		for _, d := range dets {
-			resp.Detections = append(resp.Detections, Detection{
-				X: d.Box.Min.X, Y: d.Box.Min.Y, W: d.Box.W(), H: d.Box.H(), Score: d.Score,
-			})
-		}
-		writeJSON(w, http.StatusOK, resp)
+		WriteDetections(w, stream, dets)
 	case errors.Is(err, ErrWorkerRestarting), errors.Is(err, ErrSupervisorClosed):
-		s.writeUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, err.Error())
+		WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, err.Error())
 	case errors.Is(err, rt.ErrHung):
 		// The frame's scan hung and its worker is being torn down and
 		// rebuilt; retry lands on the fresh incarnation (or sheds).
-		s.writeUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, err.Error())
+		WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, err.Error())
 	case errors.Is(err, context.DeadlineExceeded):
-		writeJSON(w, http.StatusGatewayTimeout, errorResponse{Error: "deadline exceeded"})
+		WriteError(w, http.StatusGatewayTimeout, "deadline exceeded")
 	case errors.Is(err, context.Canceled):
 		// Client went away; the status code is moot but 499-style closure
 		// needs some answer for conforming middleware.
-		writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "request cancelled"})
+		WriteError(w, http.StatusServiceUnavailable, "request cancelled")
 	default:
 		var pe *rt.PanicError
 		if errors.As(err, &pe) {
-			writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "detector panic: " + pe.Error()})
+			WriteError(w, http.StatusInternalServerError, "detector panic: "+pe.Error())
 			return
 		}
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 	}
 }
 
@@ -423,7 +348,7 @@ func (s *Server) Ready() (bool, string) {
 
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if ready, reason := s.Ready(); !ready {
-		s.writeUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, reason)
+		WriteUnavailable(w, http.StatusServiceUnavailable, s.cfg.RetryAfter, reason)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
