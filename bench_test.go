@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -42,6 +43,32 @@ func benchOptions() experiments.Options {
 	o := experiments.DefaultOptions()
 	o.Protocol = dataset.Protocol{TrainPos: 80, TrainNeg: 240, TestPos: 60, TestNeg: 240}
 	return o
+}
+
+// noiseFrame is a w x h frame of seeded uniform noise, so the front end and
+// the scan do real gradient work instead of skating over flat zeros.
+func noiseFrame(w, h int, seed int64) *imgproc.Gray {
+	img := imgproc.NewGray(w, h)
+	rng := rand.New(rand.NewSource(seed))
+	for i := range img.Pix {
+		img.Pix[i] = uint8(rng.Intn(256))
+	}
+	return img
+}
+
+// benchDetector trains the detector a detect bench scans with on g's set of
+// 60 positive and 180 negative windows.
+func benchDetector(b *testing.B, g *dataset.Generator) *core.Detector {
+	b.Helper()
+	set, err := g.RenderAt(g.NewSpecSet(60, 180), 1.0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return det
 }
 
 // BenchmarkTable1ScaleSweep regenerates Table 1 (E1): accuracy and TP/TN
@@ -192,12 +219,7 @@ func BenchmarkNHOGMemSchedule(b *testing.B) {
 
 func benchFeatureMap(b *testing.B, w, h int) *hog.FeatureMap {
 	b.Helper()
-	img := imgproc.NewGray(w, h)
-	rng := rand.New(rand.NewSource(5))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
-	fm, err := hog.Compute(imgproc.BoxBlur(img, 1), hog.DefaultConfig())
+	fm, err := hog.Compute(imgproc.BoxBlur(noiseFrame(w, h, 5), 1), hog.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -229,11 +251,7 @@ func BenchmarkAblationScalerKind(b *testing.B) {
 // BenchmarkAblationBlockLayout compares the hardware per-cell block layout
 // (4608-dim window) against the Dalal-Triggs overlap layout (3780-dim).
 func BenchmarkAblationBlockLayout(b *testing.B) {
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(6))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 6)
 	for _, layout := range []hog.Layout{hog.LayoutPerCell, hog.LayoutOverlap} {
 		b.Run(layout.String(), func(b *testing.B) {
 			cfg := hog.DefaultConfig()
@@ -253,11 +271,7 @@ func BenchmarkAblationBlockLayout(b *testing.B) {
 
 // BenchmarkAblationNorm compares the block normalization schemes.
 func BenchmarkAblationNorm(b *testing.B) {
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(7))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 7)
 	for _, n := range []hog.Norm{hog.L2Hys, hog.L2, hog.L1Sqrt} {
 		b.Run(n.String(), func(b *testing.B) {
 			cfg := hog.DefaultConfig()
@@ -353,11 +367,7 @@ func BenchmarkAblationMemDepth(b *testing.B) {
 // BenchmarkHOGComputeVGA times dense HOG extraction on a 640x480 frame (the
 // stage the paper accelerates).
 func BenchmarkHOGComputeVGA(b *testing.B) {
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(9))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := hog.Compute(img, hog.DefaultConfig()); err != nil {
@@ -374,22 +384,14 @@ func BenchmarkHOGComputeVGA(b *testing.B) {
 // vga/serial is the PR's headline front-end speedup.
 func BenchmarkComputeCells(b *testing.B) {
 	cfg := hog.DefaultConfig()
-	rng := rand.New(rand.NewSource(21))
-	mk := func(w, h int) *imgproc.Gray {
-		img := imgproc.NewGray(w, h)
-		for i := range img.Pix {
-			img.Pix[i] = uint8(rng.Intn(256))
-		}
-		return img
-	}
 	for _, sz := range []struct {
 		name string
 		img  *imgproc.Gray
 	}{
 		// 58 of 60 cell rows are interior on VGA; the 2-cell-tall strip
 		// keeps the replicate-clamp border path on half its rows.
-		{"vga", mk(640, 480)},
-		{"border-strip", mk(640, 16)},
+		{"vga", noiseFrame(640, 480, 21)},
+		{"border-strip", noiseFrame(640, 16, 21)},
 	} {
 		b.Run(sz.name+"/reference", func(b *testing.B) {
 			b.ReportAllocs()
@@ -426,11 +428,7 @@ func BenchmarkComputeCells(b *testing.B) {
 // arena-backed NormalizeInto on a VGA cell grid.
 func BenchmarkNormalize(b *testing.B) {
 	cfg := hog.DefaultConfig()
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(22))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 22)
 	grid, err := hog.ComputeCells(img, cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -446,7 +444,11 @@ func BenchmarkNormalize(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("into/workers%d", workers), func(b *testing.B) {
 			var fm hog.FeatureMap
+			if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil { // size fm
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil {
 					b.Fatal(err)
@@ -475,14 +477,7 @@ func BenchmarkSVMScoreWindow(b *testing.B) {
 // modes — the speedup that motivates the paper's contribution.
 func BenchmarkImagePyramidVsFeaturePyramid(b *testing.B) {
 	g := dataset.New(11)
-	set, err := g.RenderAt(g.NewSpecSet(60, 180), 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	det := benchDetector(b, g)
 	scene, err := g.MakeScene(dataset.DefaultSceneConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -510,44 +505,82 @@ func BenchmarkImagePyramidVsFeaturePyramid(b *testing.B) {
 // allocation — check allocs/op with -benchmem) with levels sharded across
 // window rows, the software analogue of the paper's 8 parallel MACBARs.
 // Workers=1 is the serial baseline; the speedup at higher counts needs a
-// multi-core runner, but detections are identical at every count.
+// multi-core runner, but detections are identical at every count. The
+// metrics=on row repeats feature-pyramid/workers1 with an obs recorder
+// attached: its ns/op over that row's is the instrumentation overhead.
 func BenchmarkDetectParallel(b *testing.B) {
 	g := dataset.New(14)
-	set, err := g.RenderAt(g.NewSpecSet(60, 180), 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	det := benchDetector(b, g)
 	scene, err := g.MakeScene(dataset.DefaultSceneConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []core.PyramidMode{core.FeaturePyramid, core.ImagePyramid} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers%d", mode, workers), func(b *testing.B) {
-				cfg := det.Config()
-				cfg.Mode = mode
-				cfg.Workers = workers
-				d, err := core.NewDetector(det.Model(), cfg)
+	run := func(name string, cfg core.Config) {
+		b.Run(name, func(b *testing.B) {
+			d, err := core.NewDetector(det.Model(), cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var n int
+			for i := 0; i < b.N; i++ {
+				dets, err := d.Detect(scene.Frame)
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				var n int
-				for i := 0; i < b.N; i++ {
-					dets, err := d.Detect(scene.Frame)
-					if err != nil {
-						b.Fatal(err)
-					}
-					n = len(dets)
-				}
-				b.ReportMetric(float64(n), "detections")
-			})
+				n = len(dets)
+			}
+			b.ReportMetric(float64(n), "detections")
+		})
+	}
+	for _, mode := range []core.PyramidMode{core.FeaturePyramid, core.ImagePyramid, core.OctavePyramid} {
+		for _, workers := range []int{1, 2, 4, 8} {
+			cfg := det.Config()
+			cfg.Mode, cfg.Workers = mode, workers
+			run(fmt.Sprintf("%s/workers%d", mode, workers), cfg)
 		}
+	}
+	cfg := det.Config()
+	cfg.Mode, cfg.Workers = core.FeaturePyramid, 1
+	cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
+	run("feature-pyramid/workers1/metrics=on", cfg)
+}
+
+// BenchmarkFrontEnd times everything the detector runs before the scan on
+// the paper's 1920x1080 operating point: the fused HOG front end into a
+// reused scratch, then the full feature pyramid (scale step 1.1, down to
+// the 64x128 window) into a reused level store, after one untimed frame has
+// grown the buffers. Steady state allocates only the fan-out bookkeeping.
+func BenchmarkFrontEnd(b *testing.B) {
+	frame := noiseFrame(1920, 1080, 29)
+	cfg := core.DefaultConfig()
+	wbx, wby := cfg.HOG.WindowBlocks(cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH))
+	ctx := context.Background()
+	workerCounts := []int{1}
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		workerCounts = append(workerCounts, n)
+	}
+	for _, workers := range workerCounts {
+		b.Run(fmt.Sprintf("1080p/workers%d", workers), func(b *testing.B) {
+			s := hog.NewScratch()
+			var p featpyr.Pyramid
+			frontEnd := func() {
+				base, err := hog.ComputeInto(ctx, frame, cfg.HOG, s, workers)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := p.Build(ctx, base, cfg.ScaleStep, wbx, wby, 0, 0, cfg.Scale, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+			frontEnd() // grow the scratch and the level store
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				frontEnd()
+			}
+		})
 	}
 }
 
@@ -561,14 +594,7 @@ func BenchmarkDetectParallel(b *testing.B) {
 // ISSUE 10 claims, independent of the harness's iteration count.
 func BenchmarkDetectROI(b *testing.B) {
 	g := dataset.New(14)
-	set, err := g.RenderAt(g.NewSpecSet(60, 180), 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	det := benchDetector(b, g)
 	scene, err := g.MakeScene(dataset.SceneConfig{
 		W: 1920, H: 1080, Pedestrians: 2,
 		MinHeight: 120, MaxHeight: 220, ClutterDensity: 1,
@@ -629,15 +655,12 @@ func BenchmarkDetectROI(b *testing.B) {
 // eight-window span scorer against the copy-then-dot path they replaced on
 // 4608-dim windows.
 func BenchmarkScoreWindow(b *testing.B) {
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(15))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 15)
 	fm, err := hog.Compute(img, hog.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
+	rng := rand.New(rand.NewSource(15))
 	m := &svm.Model{W: make([]float64, 4608)}
 	for i := range m.W {
 		m.W[i] = rng.NormFloat64()
@@ -657,6 +680,7 @@ func BenchmarkScoreWindow(b *testing.B) {
 		nx, rows := fm.BlocksX-8+1, fm.BlocksY-16+1
 		dst := make([]float64, nx)
 		b.ReportAllocs()
+		b.ResetTimer()
 		for done, by := 0, 0; done < b.N; by = (by + 1) % rows {
 			n := min(nx, b.N-done)
 			if !fm.ScoreSpan(m.W, 0, by, 8, 16, dst[:n]) {
@@ -733,14 +757,7 @@ func BenchmarkTimeMuxComparison(b *testing.B) {
 // single-base feature pyramid.
 func BenchmarkAblationOctaveLambda(b *testing.B) {
 	g := dataset.New(13)
-	set, err := g.RenderAt(g.NewSpecSet(60, 180), 1.0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	det, err := core.Train(set, core.DefaultConfig(), core.DefaultTrainOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
+	det := benchDetector(b, g)
 	scene, err := g.MakeScene(dataset.DefaultSceneConfig())
 	if err != nil {
 		b.Fatal(err)
@@ -885,11 +902,7 @@ func BenchmarkDetectCascade(b *testing.B) {
 	if err := calibrateCascadeModel(model, base); err != nil {
 		b.Fatal(err)
 	}
-	frame := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(48))
-	for i := range frame.Pix {
-		frame.Pix[i] = uint8(rng.Intn(256))
-	}
+	frame := noiseFrame(640, 480, 48)
 	for _, bc := range []struct {
 		name string
 		mode core.CascadeMode
@@ -930,11 +943,7 @@ func BenchmarkScoreWindowStaged(b *testing.B) {
 	if err := calibrateCascadeModel(model, cfg); err != nil {
 		b.Fatal(err)
 	}
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(50))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
+	img := noiseFrame(640, 480, 50)
 	fm, err := hog.Compute(img, cfg.HOG)
 	if err != nil {
 		b.Fatal(err)
@@ -960,6 +969,7 @@ func BenchmarkScoreWindowStaged(b *testing.B) {
 	b.Run("staged-calibrated", func(b *testing.B) {
 		rowDots := make([]float64, wby)
 		b.ReportAllocs()
+		b.ResetTimer()
 		var rows int
 		for i := 0; i < b.N; i++ {
 			_, rowsEval, _, ok := fm.ScoreWindowStaged(model.W,

@@ -217,24 +217,31 @@ func TestVoteRunMatchesScalar(t *testing.T) {
 	}
 }
 
-// BenchmarkCellKernel measures the interior-row vote of a 640x480 noise
-// frame on both dispatch paths, at workers=1.
+// BenchmarkCellKernel measures the cell histograms of a 640x480 and a
+// 1920x1080 noise frame on both dispatch paths, at workers=1, through a
+// scratch that one untimed frame has grown.
 func BenchmarkCellKernel(b *testing.B) {
-	img := imgproc.NewGray(640, 480)
-	rng := rand.New(rand.NewSource(1))
-	for i := range img.Pix {
-		img.Pix[i] = uint8(rng.Intn(256))
-	}
 	cfg := DefaultConfig()
-	for _, on := range cellKernelModes(b) {
-		b.Run(fmt.Sprintf("kernel=%v", on), func(b *testing.B) {
-			useCellKernel(b, on)
-			s := NewScratch()
-			for i := 0; i < b.N; i++ {
+	for _, sz := range []struct {
+		name string
+		w, h int
+	}{{"vga", 640, 480}, {"1080p", 1920, 1080}} {
+		img := randomImage(sz.w, sz.h, 1)
+		for _, on := range cellKernelModes(b) {
+			b.Run(fmt.Sprintf("%s/kernel=%v", sz.name, on), func(b *testing.B) {
+				useCellKernel(b, on)
+				s := NewScratch()
 				if _, err := ComputeCellsInto(context.Background(), img, cfg, s, 1); err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ComputeCellsInto(context.Background(), img, cfg, s, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

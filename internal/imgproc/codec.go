@@ -76,16 +76,17 @@ func ReadPGM(r io.Reader) (*Gray, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := NewGray(w, h)
+	g := &Gray{W: w, H: h}
 	if magic == "P5" {
-		if _, err := io.ReadFull(br, g.Pix); err != nil {
+		if g.Pix, err = readBinarySamples(br, w*h); err != nil {
 			return nil, fmt.Errorf("imgproc: short PGM pixel data: %w", err)
 		}
 		if err := rescaleSamples(g.Pix, maxv); err != nil {
 			return nil, fmt.Errorf("imgproc: PGM pixel data: %w", err)
 		}
 	} else {
-		for i := range g.Pix {
+		g.Pix = sampleBuffer(w * h)
+		for i := 0; i < w*h; i++ {
 			v, err := pnmInt(br)
 			if err != nil {
 				return nil, fmt.Errorf("imgproc: PGM pixel %d: %w", i, err)
@@ -93,7 +94,7 @@ func ReadPGM(r io.Reader) (*Gray, error) {
 			if v > maxv {
 				return nil, fmt.Errorf("imgproc: PGM pixel %d: sample %d exceeds maxval %d", i, v, maxv)
 			}
-			g.Pix[i] = uint8(v * 255 / maxv)
+			g.Pix = append(growSamples(g.Pix, w*h), uint8(v*255/maxv))
 		}
 	}
 	return g, nil
@@ -124,16 +125,17 @@ func ReadPPM(r io.Reader) (*RGB, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := NewRGB(w, h)
+	c := &RGB{W: w, H: h}
 	if magic == "P6" {
-		if _, err := io.ReadFull(br, c.Pix); err != nil {
+		if c.Pix, err = readBinarySamples(br, 3*w*h); err != nil {
 			return nil, fmt.Errorf("imgproc: short PPM pixel data: %w", err)
 		}
 		if err := rescaleSamples(c.Pix, maxv); err != nil {
 			return nil, fmt.Errorf("imgproc: PPM pixel data: %w", err)
 		}
 	} else {
-		for i := range c.Pix {
+		c.Pix = sampleBuffer(3 * w * h)
+		for i := 0; i < 3*w*h; i++ {
 			v, err := pnmInt(br)
 			if err != nil {
 				return nil, fmt.Errorf("imgproc: PPM sample %d: %w", i, err)
@@ -141,10 +143,50 @@ func ReadPPM(r io.Reader) (*RGB, error) {
 			if v > maxv {
 				return nil, fmt.Errorf("imgproc: PPM sample %d: value %d exceeds maxval %d", i, v, maxv)
 			}
-			c.Pix[i] = uint8(v * 255 / maxv)
+			c.Pix = append(growSamples(c.Pix, 3*w*h), uint8(v*255/maxv))
 		}
 	}
 	return c, nil
+}
+
+// sampleChunk is the most a decoder allocates for samples it has not read
+// yet: a header claiming 64 Mpx then costs what the stream delivers, not
+// what it claims. A served 128x256 crop fits in one chunk.
+const sampleChunk = 32 << 10
+
+// sampleBuffer is an empty buffer for n samples, sized for at most
+// sampleChunk of them, so a frame of up to sampleChunk samples decodes in
+// one allocation.
+func sampleBuffer(n int) []uint8 { return make([]uint8, 0, min(n, sampleChunk)) }
+
+// growSamples returns pix with room for another sample: a full buffer is
+// copied into one twice its size, capped at the n samples the frame holds.
+func growSamples(pix []uint8, n int) []uint8 {
+	if len(pix) < cap(pix) {
+		return pix
+	}
+	grown := make([]uint8, len(pix), min(n, 2*cap(pix)))
+	copy(grown, pix)
+	return grown
+}
+
+// readBinarySamples reads n binary samples from br into a buffer that grows
+// as they arrive. Like io.ReadFull on n bytes, it fails with io.EOF when
+// no sample arrives and io.ErrUnexpectedEOF when some but not all do.
+func readBinarySamples(br *bufio.Reader, n int) ([]uint8, error) {
+	pix := sampleBuffer(n)
+	for len(pix) < n {
+		pix = growSamples(pix, n)
+		k, err := io.ReadFull(br, pix[len(pix):cap(pix)])
+		pix = pix[:len(pix)+k]
+		if err == io.EOF && len(pix) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return pix, nil
 }
 
 // rescaleSamples maps binary samples from [0, maxv] onto [0, 255] in place.

@@ -2,6 +2,10 @@ package imgproc
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -127,5 +131,102 @@ func TestDecodeRescalesBinaryMaxval(t *testing.T) {
 	}
 	if want := []uint8{0, 85, 255}; !bytes.Equal(c.Pix, want) {
 		t.Errorf("rescaled binary PPM samples = %v, want %v", c.Pix, want)
+	}
+}
+
+// allocatedBytes is the fewest bytes f allocated over three runs: the
+// fewest, so that a stray allocation elsewhere in the process cannot fail
+// a bound that f itself keeps.
+func allocatedBytes(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// decodeSamples decodes src with ReadPGM or ReadPPM, by its magic.
+func decodeSamples(src []byte) ([]uint8, error) {
+	if src[1] == '5' || src[1] == '2' {
+		g, err := ReadPGM(bytes.NewReader(src))
+		if err != nil {
+			return nil, err
+		}
+		return g.Pix, nil
+	}
+	c, err := ReadPPM(bytes.NewReader(src))
+	if err != nil {
+		return nil, err
+	}
+	return c.Pix, nil
+}
+
+// TestDecodeAllocatesWhatArrives: a header that claims 64 Mpx but is
+// followed by no samples must cost the decoder under 64 KiB, not the 64 MB
+// the header asks for, in all four formats.
+func TestDecodeAllocatesWhatArrives(t *testing.T) {
+	for _, src := range []string{"P5\n8192 8192\n255\n", "P2\n8192 8192\n255\n", "P6\n4096 4096\n255\n", "P3\n4096 4096\n255\n"} {
+		var err error
+		if n := allocatedBytes(func() { _, err = decodeSamples([]byte(src)) }); n >= 64<<10 {
+			t.Errorf("%q: decoding allocated %d B, want < 64 KiB", src, n)
+		}
+		if err == nil {
+			t.Errorf("%q decoded without samples", src)
+		}
+	}
+}
+
+// TestDecodeCropInOneAllocation: a served 128x256 crop fits in
+// sampleChunk, so its pixels land in one buffer of exactly W*H bytes and
+// nothing else the size of a frame is allocated.
+func TestDecodeCropInOneAllocation(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WritePGM(&buf, NewGray(128, 256)); err != nil {
+		t.Fatal(err)
+	}
+	var pix []uint8
+	n := allocatedBytes(func() { pix, _ = decodeSamples(buf.Bytes()) })
+	if cap(pix) != 128*256 || n >= 128*256+8<<10 {
+		t.Errorf("a 128x256 crop decoded into cap %d, allocating %d B; want one %d B buffer and < 8 KiB more", cap(pix), n, 128*256)
+	}
+}
+
+// TestDecodeAcrossChunks decodes frames of several chunks, so the sample
+// buffer grows while they arrive, in all four formats: the samples must be
+// the ones written, in a buffer of exactly the frame's size, and a frame
+// cut short after a whole chunk must fail as io.ReadFull would.
+func TestDecodeAcrossChunks(t *testing.T) {
+	const w, h = 300, 250
+	rng := rand.New(rand.NewSource(3))
+	for _, magic := range []string{"P5", "P2", "P6", "P3"} {
+		pix := make([]uint8, w*h)
+		if magic == "P6" || magic == "P3" {
+			pix = make([]uint8, 3*w*h)
+		}
+		var src bytes.Buffer
+		fmt.Fprintf(&src, "%s\n%d %d\n255\n", magic, w, h)
+		for i := range pix {
+			pix[i] = uint8(rng.Intn(256))
+			if magic == "P2" || magic == "P3" {
+				fmt.Fprintf(&src, "%d\n", pix[i])
+			}
+		}
+		if magic == "P5" || magic == "P6" {
+			src.Write(pix)
+		}
+		got, err := decodeSamples(src.Bytes())
+		if err != nil || !bytes.Equal(got, pix) || cap(got) != len(pix) {
+			t.Errorf("%s: decoded samples differ from the written ones (cap %d, error %v)", magic, cap(got), err)
+		}
+		if magic == "P5" {
+			_, err := decodeSamples(src.Bytes()[:src.Len()-len(pix)+sampleChunk])
+			if want := "imgproc: short PGM pixel data: unexpected EOF"; err == nil || err.Error() != want {
+				t.Errorf("frame cut after one chunk: error %v, want %q", err, want)
+			}
+		}
 	}
 }

@@ -85,11 +85,7 @@ func TestSubImage(t *testing.T) {
 }
 
 func TestFloatGrayRoundTrip(t *testing.T) {
-	g := NewGray(16, 16)
-	rng := rand.New(rand.NewSource(3))
-	for i := range g.Pix {
-		g.Pix[i] = uint8(rng.Intn(256))
-	}
+	g := randomGray(16, 16, 3)
 	back := ToGray(ToFloat(g))
 	if !bytes.Equal(back.Pix, g.Pix) {
 		t.Error("Gray -> Float -> Gray is not the identity")
@@ -97,11 +93,7 @@ func TestFloatGrayRoundTrip(t *testing.T) {
 }
 
 func TestPGMRoundTrip(t *testing.T) {
-	g := NewGray(7, 5)
-	rng := rand.New(rand.NewSource(4))
-	for i := range g.Pix {
-		g.Pix[i] = uint8(rng.Intn(256))
-	}
+	g := randomGray(7, 5, 4)
 	var buf bytes.Buffer
 	if err := WritePGM(&buf, g); err != nil {
 		t.Fatal(err)
@@ -190,11 +182,7 @@ func TestFromGray(t *testing.T) {
 func TestPGMRoundTripProperty(t *testing.T) {
 	f := func(seed int64, w8, h8 uint8) bool {
 		w, h := int(w8%32)+1, int(h8%32)+1
-		g := NewGray(w, h)
-		rng := rand.New(rand.NewSource(seed))
-		for i := range g.Pix {
-			g.Pix[i] = uint8(rng.Intn(256))
-		}
+		g := randomGray(w, h, seed)
 		var buf bytes.Buffer
 		if err := WritePGM(&buf, g); err != nil {
 			return false

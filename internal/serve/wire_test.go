@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -191,4 +193,26 @@ func FuzzDetectResponse(f *testing.F) {
 			t.Fatalf("detections %v, want %v", dets, want)
 		}
 	})
+}
+
+// TestReadDetectHeaderOnlyBodyAllocs: a 17-byte body whose header claims
+// 64 Mpx must be answered 400 for under 64 KiB of allocation, not for the
+// 64 MB the header asks for. Both servers read /detect through ReadDetect.
+func TestReadDetectHeaderOnlyBodyAllocs(t *testing.T) {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		req := httptest.NewRequest(http.MethodPost, "/detect", strings.NewReader("P5\n8192 8192\n255\n"))
+		rec := httptest.NewRecorder()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := ReadDetect(rec, req, time.Second, 1<<30, nil)
+		runtime.ReadMemStats(&after)
+		if err == nil || rec.Code != http.StatusBadRequest {
+			t.Fatalf("header-only body: err %v, status %d; want a 400", err, rec.Code)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("a 17-byte body allocated %d B, want < 64 KiB", least)
+	}
 }

@@ -79,7 +79,7 @@ func (m *Model) Save(path string) error {
 // Read deserializes a model written by Write.
 func Read(r io.Reader) (*Model, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<22)
+	sc.Buffer(nil, 1<<22)
 	next := func() (string, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
@@ -133,19 +133,25 @@ func Read(r io.Reader) (*Model, error) {
 	if line != "w" {
 		return nil, fmt.Errorf("svm: expected weight header, got %q", line)
 	}
-	m := &Model{W: make([]float64, dim), B: bias}
+	// W grows as weights arrive, so a header claiming 2^24 of them costs
+	// what the file holds, not 128 MB.
+	m := &Model{W: make([]float64, 0, min(dim, weightChunk)), B: bias}
 	for i := 0; i < dim; i++ {
 		line, err = next()
 		if err != nil {
 			return nil, fmt.Errorf("svm: reading weight %d: %w", i, err)
 		}
-		m.W[i], err = strconv.ParseFloat(line, 64)
+		v, err := strconv.ParseFloat(line, 64)
 		if err != nil {
 			return nil, fmt.Errorf("svm: parsing weight %d %q: %w", i, line, err)
 		}
-		if !isFinite(m.W[i]) {
+		if !isFinite(v) {
 			return nil, fmt.Errorf("svm: non-finite weight %d %q", i, line)
 		}
+		if len(m.W) == cap(m.W) {
+			m.W = append(make([]float64, 0, min(dim, 2*cap(m.W))), m.W...)
+		}
+		m.W = append(m.W, v)
 	}
 	// Optional trailing cascade-calibration section. Anything else after
 	// the weights is a malformed or truncated-then-resumed file; refuse it
@@ -219,6 +225,10 @@ func readCascadeSection(head string, next func() (string, error)) (*CascadeCalib
 	}
 	return cal, nil
 }
+
+// weightChunk is the most weights (32 KiB) Read allocates for before it
+// has read any.
+const weightChunk = 4096
 
 func isFinite(v float64) bool {
 	return !math.IsNaN(v) && !math.IsInf(v, 0)

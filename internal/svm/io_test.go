@@ -3,12 +3,16 @@ package svm
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func TestModelRoundTrip(t *testing.T) {
 	m := &Model{W: []float64{0.5, -1.25, 3e-17, 0, 42}, B: -0.75}
+	for i := range 2 * weightChunk { // so W grows while it is read
+		m.W = append(m.W, math.Sin(float64(i)))
+	}
 	var buf bytes.Buffer
 	if err := m.Write(&buf); err != nil {
 		t.Fatal(err)
@@ -17,8 +21,8 @@ func TestModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.B != m.B || len(got.W) != len(m.W) {
-		t.Fatalf("round trip: got bias %g dim %d", got.B, len(got.W))
+	if got.B != m.B || len(got.W) != len(m.W) || cap(got.W) != len(m.W) {
+		t.Fatalf("round trip: got bias %g dim %d (cap %d)", got.B, len(got.W), cap(got.W))
 	}
 	for i := range m.W {
 		if got.W[i] != m.W[i] {
@@ -71,5 +75,26 @@ func TestReadRejectsMalformedHeaders(t *testing.T) {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("Read(%q) succeeded, want error", src)
 		}
+	}
+}
+
+// TestReadAllocatesWhatArrives: a 30-byte model file whose header claims
+// 2^24 weights must fail for under 64 KiB of allocation, not for the
+// 128 MB the header asks for, with the message a short file always gave.
+func TestReadAllocatesWhatArrives(t *testing.T) {
+	const src = "pdsvm 1\ndim 16777216\nbias 0\nw\n"
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Read(strings.NewReader(src))
+		runtime.ReadMemStats(&after)
+		if want := "svm: reading weight 0: unexpected EOF"; err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	if least >= 64<<10 {
+		t.Errorf("a %d-byte model allocated %d B, want < 64 KiB", len(src), least)
 	}
 }
