@@ -652,8 +652,8 @@ func BenchmarkDetectROI(b *testing.B) {
 }
 
 // BenchmarkScoreWindow compares the zero-copy strided window scorer and the
-// eight-window span scorer against the copy-then-dot path they replaced on
-// 4608-dim windows.
+// eight-window anchor scorer against the copy-then-dot path they replaced
+// on 4608-dim windows.
 func BenchmarkScoreWindow(b *testing.B) {
 	img := noiseFrame(640, 480, 15)
 	fm, err := hog.Compute(img, hog.DefaultConfig())
@@ -673,22 +673,29 @@ func BenchmarkScoreWindow(b *testing.B) {
 			}
 		}
 	})
-	// span scores whole level rows (73 anchors on this 640-wide map) with
-	// ScoreSpan; one op is one window, so ns/op reads as ns per window
-	// next to zero-copy.
-	b.Run("span", func(b *testing.B) {
-		nx, rows := fm.BlocksX-8+1, fm.BlocksY-16+1
-		dst := make([]float64, nx)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for done, by := 0, 0; done < b.N; by = (by + 1) % rows {
-			n := min(nx, b.N-done)
-			if !fm.ScoreSpan(m.W, 0, by, 8, 16, dst[:n]) {
-				b.Fatal("span rejected")
-			}
-			done += n
+	// The span rows score anchor lists with ScoreAnchors in raster-order
+	// batches of 64, as the detector's scan does; one op is one window,
+	// so ns/op reads as ns per window next to zero-copy. span takes every
+	// anchor (73 per row on this 640-wide map); width=3 and width=19 take
+	// only each row's first 3 or 19 anchors, like narrow ROI spans; and
+	// map=128x256 takes every anchor of each level of a 128×256 crop's
+	// feature pyramid, whose coarse levels hold 1-6 anchors per row.
+	b.Run("span", scoreAnchorsBench([]*hog.FeatureMap{fm}, m.W, 0))
+	b.Run("span/width=3", scoreAnchorsBench([]*hog.FeatureMap{fm}, m.W, 3))
+	b.Run("span/width=19", scoreAnchorsBench([]*hog.FeatureMap{fm}, m.W, 19))
+	crop, err := hog.Compute(noiseFrame(128, 256, 16), hog.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	levels := []*hog.FeatureMap{crop}
+	for s := 1.1; ; s *= 1.1 {
+		l, err := featpyr.ScaleMapBy(crop, s, featpyr.ScaleConfig{})
+		if err != nil || l.BlocksX < 8 || l.BlocksY < 16 {
+			break
 		}
-	})
+		levels = append(levels, l)
+	}
+	b.Run("span/map=128x256", scoreAnchorsBench(levels, m.W, 0))
 	b.Run("copy-dot", func(b *testing.B) {
 		b.ReportAllocs()
 		buf := make([]float64, 4608)
@@ -699,6 +706,40 @@ func BenchmarkScoreWindow(b *testing.B) {
 			_ = m.Score(buf)
 		}
 	})
+}
+
+// scoreAnchorsBench returns a benchmark that scores the 8x16-block window
+// anchors of maps, the first width of each row (every one at width 0), in
+// raster-order batches of 64 per map, one op per window.
+func scoreAnchorsBench(maps []*hog.FeatureMap, w []float64, width int) func(*testing.B) {
+	return func(b *testing.B) {
+		lists := make([][]hog.Anchor, len(maps))
+		for i, fm := range maps {
+			nx := fm.BlocksX - 8 + 1
+			if width > 0 {
+				nx = min(nx, width)
+			}
+			for y := 0; y+16 <= fm.BlocksY; y++ {
+				for x := 0; x < nx; x++ {
+					lists[i] = append(lists[i], hog.Anchor{X: x, Y: y})
+				}
+			}
+		}
+		var dst [64]float64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for done := 0; done < b.N; {
+			for i, fm := range maps {
+				for list := lists[i]; len(list) > 0 && done < b.N; {
+					n := min(len(list), len(dst), b.N-done)
+					if !fm.ScoreAnchors(w, 8, 16, list[:n], dst[:n]) {
+						b.Fatal("anchors rejected")
+					}
+					list, done = list[n:], done+n
+				}
+			}
+		}
+	}
 }
 
 // BenchmarkCORDIC times the magnitude/orientation unit of the HW extractor.

@@ -656,14 +656,21 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 // window costs one allocation per scanned shard, not per window.
 const maxStackRows = 64
 
-// spanScratch is one scan worker's state for scoreSpan: the staged
-// kernel's per-row dot scratch, on the stack with the worker, and the
-// cascade counters, folded into the shared registry once per shard so the
-// per-window path has no atomic traffic.
+// scanBatch is how many window anchors a scan worker collects, across
+// spans and window rows, before scoring them in one call: eight full
+// groups of the span kernel.
+const scanBatch = 64
+
+// spanScratch is one scan worker's state for scanAnchors, on the stack
+// with the worker: the anchor batch and its scores, the staged kernel's
+// per-row dot scratch, and the cascade counters, folded into the shared
+// registry once per shard so the per-window path has no atomic traffic.
 type spanScratch struct {
-	rowBuf [maxStackRows]float64
-	tall   []float64 // row scratch of windows taller than maxStackRows
-	tally  cascadeTally
+	anchors [scanBatch]hog.Anchor
+	scores  [scanBatch]float64
+	rowBuf  [maxStackRows]float64
+	tall    []float64 // row scratch of windows taller than maxStackRows
+	tally   cascadeTally
 }
 
 // rowDots returns the staged kernel's row scratch for windows wby block
@@ -678,48 +685,68 @@ func (sc *spanScratch) rowDots(wby int) []float64 {
 	return sc.tall
 }
 
-// forSpanRows walks the window rows [row0, row1) of level l in raster
-// order and calls fn once per anchor span crossing each row, with the
-// row's anchor columns [bx0, bx1). An unrestricted level (l.spans nil) is
-// the degenerate single full-width span, built on the stack; a restricted
-// one walks its region spans, which are non-overlapping and bx0-sorted, so
-// restricted output stays the exact raster-order subsequence of a dense
-// scan. Cancellation is checked once per window row, so an expired ctx
-// stops a scan within one row; the caller discards partial output on
-// error, keeping results deterministic.
-func (d *Detector) forSpanRows(ctx context.Context, l pyrLevel, row0, row1 int, fn func(by, bx0, bx1 int)) error {
+// scanAnchors scores every window anchor of window rows [row0, row1) of
+// level l and hands each anchor's decision value to emit in raster order.
+// An unrestricted level (l.spans nil) is the degenerate single full-width
+// span, built on the stack; a restricted one walks its region spans,
+// which are non-overlapping and bx0-sorted, so restricted output stays
+// the exact raster-order subsequence of a dense scan.
+// Anchors collect across spans and window rows into sc's fixed batch, so
+// narrow spans and levels still fill the span kernel's eight lanes.
+// Cancellation is checked once per window row, so an expired ctx stops a
+// scan within one row; the caller discards partial output on error,
+// keeping results deterministic.
+func (d *Detector) scanAnchors(ctx context.Context, l pyrLevel, row0, row1 int, sc *spanScratch,
+	emit func(a hog.Anchor, score float64)) error {
 	wbx, wby := d.cfg.windowBlocks()
 	fullSpan := [1]anchorSpan{{bx0: 0, bx1: l.fm.BlocksX - wbx + 1, by0: 0, by1: l.fm.BlocksY - wby + 1}}
 	spans := l.spans
 	if spans == nil {
 		spans = fullSpan[:]
 	}
+	n := 0
+	flush := func() {
+		if d.scoreAnchors(l.fm, sc.anchors[:n], sc.scores[:n], sc) {
+			for i, a := range sc.anchors[:n] {
+				emit(a, sc.scores[i])
+			}
+		}
+		n = 0
+	}
 	for by := row0; by < row1; by++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
 		for _, sp := range spans {
-			if by >= sp.by0 && by < sp.by1 {
-				fn(by, sp.bx0, sp.bx1)
+			if by < sp.by0 || by >= sp.by1 {
+				continue
+			}
+			for bx := sp.bx0; bx < sp.bx1; bx++ {
+				sc.anchors[n] = hog.Anchor{X: bx, Y: by}
+				if n++; n == scanBatch {
+					flush()
+				}
 			}
 		}
+	}
+	if n > 0 {
+		flush()
 	}
 	return nil
 }
 
-// scoreSpan writes the decision values (score + B) of the len(dst)
-// adjacent windows anchored at block columns bx0, bx0+1, ... of block row
-// by into dst. It is the one window scorer behind DetectRaw and ScoreMaps.
-// Without a cascade plan hog.FeatureMap.ScoreSpan scores the run, adjacent
-// windows sharing weight loads. With one, each window runs the staged
-// kernel: a window it prunes reads -Inf, an accepted one its exact dense
-// score, and sc.tally counts both. It reports false if a window overhangs
-// the map.
-func (d *Detector) scoreSpan(fm *hog.FeatureMap, bx0, by int, dst []float64, sc *spanScratch) bool {
+// scoreAnchors writes the decision values (score + B) of the windows at
+// anchors into dst. It is the one window scorer behind DetectRaw and
+// ScoreMaps. Without a cascade plan hog.FeatureMap.ScoreAnchors scores
+// the batch, eight windows sharing each weight load. With one, each window
+// runs the staged kernel: a window it prunes reads -Inf, an accepted one
+// its exact dense score, and sc.tally counts both. It reports false if a
+// window overhangs the map.
+func (d *Detector) scoreAnchors(fm *hog.FeatureMap, anchors []hog.Anchor, dst []float64, sc *spanScratch) bool {
 	wbx, wby := d.cfg.windowBlocks()
 	w, b := d.model.W, d.model.B
 	if d.plan == nil {
-		if !fm.ScoreSpan(w, bx0, by, wbx, wby, dst) {
+		if !fm.ScoreAnchors(w, wbx, wby, anchors, dst) {
 			return false
 		}
 		for i := range dst {
@@ -727,8 +754,8 @@ func (d *Detector) scoreSpan(fm *hog.FeatureMap, bx0, by int, dst []float64, sc 
 		}
 		return true
 	}
-	for i := range dst {
-		score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, bx0+i, by, wbx, wby, d.plan, sc.rowDots(wby))
+	for i, a := range anchors {
+		score, rowsEval, accepted, ok := fm.ScoreWindowStaged(w, a.X, a.Y, wbx, wby, d.plan, sc.rowDots(wby))
 		if !ok {
 			return false
 		}
@@ -747,28 +774,19 @@ func (d *Detector) scoreSpan(fm *hog.FeatureMap, bx0, by int, dst []float64, sc 
 
 // scanLevelRows slides the detection window over block rows [row0, row1) of
 // one pyramid level, appending the windows scoring above the threshold to
-// out. Windows are scored zero-copy against the feature map in chunks of a
-// stack buffer, so no chunk allocates. l.sx and l.sy map level pixel
+// out. Windows are scored zero-copy against the feature map in batches of
+// a stack buffer, so no batch allocates. l.sx and l.sy map level pixel
 // coordinates back to frame pixels per axis.
 func (d *Detector) scanLevelRows(ctx context.Context, l pyrLevel, row0, row1 int, out []eval.Detection) ([]eval.Detection, error) {
 	cell := d.cfg.HOG.CellSize
-	var scoreBuf [64]float64
 	var sc spanScratch
-	err := d.forSpanRows(ctx, l, row0, row1, func(by, bx0, bx1 int) {
-		for ; bx0 < bx1; bx0 += len(scoreBuf) {
-			scores := scoreBuf[:min(len(scoreBuf), bx1-bx0)]
-			if !d.scoreSpan(l.fm, bx0, by, scores, &sc) {
-				continue
-			}
-			for i, score := range scores {
-				if score <= d.cfg.Threshold {
-					continue
-				}
-				// Window anchor in level pixels, then back to frame pixels.
-				box := geom.XYWH((bx0+i)*cell, by*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(l.sx, l.sy)
-				out = append(out, eval.Detection{Box: box, Score: score})
-			}
+	err := d.scanAnchors(ctx, l, row0, row1, &sc, func(a hog.Anchor, score float64) {
+		if score <= d.cfg.Threshold {
+			return
 		}
+		// Window anchor in level pixels, then back to frame pixels.
+		box := geom.XYWH(a.X*cell, a.Y*cell, d.cfg.WindowW, d.cfg.WindowH).ScaleXY(l.sx, l.sy)
+		out = append(out, eval.Detection{Box: box, Score: score})
 	})
 	wbx, _ := d.cfg.windowBlocks()
 	sc.tally.fold(d.cfg.Metrics.Metrics(), wbx)

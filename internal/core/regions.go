@@ -171,7 +171,7 @@ func regionAnchorSpan(r geom.Rect, sx, sy float64, cell, winW, winH, nx, ny int)
 // the restricted scan stays an exact filter of the dense scan even when
 // regions overlap. Within a strip the intervals come out in ascending bx
 // order, and spans of different strips never share a row — the invariant
-// scanLevelRows needs for raster-order output. All scratch lives on the
+// scanAnchors needs for raster-order output. All scratch lives on the
 // receiver; nothing allocates once the buffers have grown.
 func (rs *RegionSet) disjointSpans(dst, cand []anchorSpan) []anchorSpan {
 	if len(cand) == 0 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/hog"
 	"repro/internal/imgproc"
 	"repro/internal/par"
 )
@@ -68,7 +69,7 @@ func (sm *ScoreMap) ToImage() *imgproc.Gray {
 // the frame (no thresholding, no NMS). Levels come from the same builder as
 // DetectRaw, so the maps correspond exactly to the windows the configured
 // Mode scans — every pyramid mode gets heat maps of its own pyramid — and
-// DetectRaw's span-row scorer fills them. Scoring is zero-copy and sharded
+// DetectRaw's anchor scorer fills them. Scoring is zero-copy and sharded
 // across window rows over the configured worker pool. An active
 // Config.Regions set restricts scoring to the region anchor spans exactly
 // like DetectRaw; anchors outside the regions read as -Inf. With the
@@ -121,8 +122,8 @@ func (d *Detector) ScoreMapsCtx(ctx context.Context, frame *imgproc.Gray) ([]*Sc
 		s := shards[i]
 		l, sm := levels[s.level], maps[s.level]
 		var sc spanScratch
-		err := d.forSpanRows(ctx, l, s.row0, s.row1, func(by, bx0, bx1 int) {
-			d.scoreSpan(l.fm, bx0, by, sm.Scores[by*sm.W+bx0:by*sm.W+bx1], &sc)
+		err := d.scanAnchors(ctx, l, s.row0, s.row1, &sc, func(a hog.Anchor, score float64) {
+			sm.Scores[a.Y*sm.W+a.X] = score
 		})
 		sc.tally.fold(d.cfg.Metrics.Metrics(), wbx)
 		return err

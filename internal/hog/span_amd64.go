@@ -8,11 +8,11 @@ var haveSpanKernel = cpuHasAVX2()
 // XMM+YMM state. Implemented in span_amd64.s.
 func cpuHasAVX2() bool
 
-// dotRows8 computes, for the eight windows whose block rows start at f,
-// f+stride, ..., f+7*stride, the four-lane partial dot products of n
-// weights at w against each row: lanes[4*k+j] is dotRow's s_j for window k
-// over the first n elements. n must be a positive multiple of 4.
-// Implemented in span_amd64.s.
+// dotRows8 computes, for the eight windows whose block rows start at
+// f+offs[0], ..., f+offs[7] (offsets in elements), the four-lane partial
+// dot products of n weights at w against each row: lanes[4*k+j] is
+// dotRow's s_j for window k over the first n elements. n must be a
+// positive multiple of 4. Implemented in span_amd64.s.
 //
 //go:noescape
-func dotRows8(w, f *float64, n, stride int, lanes *[32]float64)
+func dotRows8(w, f *float64, n int, offs *[8]int, lanes *[32]float64)

@@ -35,7 +35,7 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func dotRows8(w, f *float64, n, stride int, lanes *[32]float64)
+// func dotRows8(w, f *float64, n int, offs *[8]int, lanes *[32]float64)
 //
 // Y0..Y7 accumulate windows 0..7; lane j of Yk is dotRow's s_j for window
 // k. Each step loads four weights once (Y8) and multiplies them against the
@@ -46,18 +46,26 @@ TEXT ·dotRows8(SB), NOSPLIT, $0-40
 	MOVQ w+0(FP), DI
 	MOVQ f+8(FP), SI
 	MOVQ n+16(FP), CX
-	MOVQ stride+24(FP), BX
+	MOVQ offs+24(FP), BX
 	SHLQ $3, CX
-	SHLQ $3, BX
 
-	// Row starts of windows 1..7.
-	LEAQ (SI)(BX*1), DX
-	LEAQ (SI)(BX*2), R8
-	LEAQ (DX)(BX*2), R9
-	LEAQ (SI)(BX*4), R10
-	LEAQ (DX)(BX*4), R11
-	LEAQ (R8)(BX*4), R12
-	LEAQ (R9)(BX*4), R13
+	// Row starts of windows 1..7, then window 0's in SI.
+	MOVQ 8(BX), DX
+	LEAQ (SI)(DX*8), DX
+	MOVQ 16(BX), R8
+	LEAQ (SI)(R8*8), R8
+	MOVQ 24(BX), R9
+	LEAQ (SI)(R9*8), R9
+	MOVQ 32(BX), R10
+	LEAQ (SI)(R10*8), R10
+	MOVQ 40(BX), R11
+	LEAQ (SI)(R11*8), R11
+	MOVQ 48(BX), R12
+	LEAQ (SI)(R12*8), R12
+	MOVQ 56(BX), R13
+	LEAQ (SI)(R13*8), R13
+	MOVQ 0(BX), BX
+	LEAQ (SI)(BX*8), SI
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1

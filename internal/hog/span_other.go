@@ -2,10 +2,10 @@
 
 package hog
 
-// haveSpanKernel is false off amd64: ScoreSpan scores every window with
+// haveSpanKernel is false off amd64: ScoreAnchors scores every window with
 // ScoreWindow.
 const haveSpanKernel = false
 
-func dotRows8(w, f *float64, n, stride int, lanes *[32]float64) {
+func dotRows8(w, f *float64, n int, offs *[8]int, lanes *[32]float64) {
 	panic("hog: dotRows8 without the vector kernel")
 }

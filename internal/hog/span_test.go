@@ -41,12 +41,14 @@ func useSpanKernel(t *testing.T, on bool) {
 	t.Cleanup(func() { spanKernel.Store(prev) })
 }
 
-// TestScoreSpanMatchesScoreWindow pins ScoreSpan to ScoreWindow bit for
-// bit on both dispatch paths, over the shipped geometries (per-cell 8x16,
-// rowLen 288; overlap 7x15, rowLen 252), a rowLen%4 != 0 geometry that
-// runs the tail-into-s0 path, and one whose rows are shorter than a lane
-// group, across span lengths 1..17 flush with the map's left and right
-// edges.
+// TestScoreSpanMatchesScoreWindow pins ScoreAnchors to ScoreWindow bit
+// for bit on both dispatch paths, over the shipped geometries (per-cell
+// 8x16, rowLen 288; overlap 7x15, rowLen 252), a rowLen%4 != 0 geometry
+// that runs the tail-into-s0 path, and one whose rows are shorter than a
+// lane group. Each geometry is scored on maps with 1-7 and 19 anchors per
+// row, as every raster-order run of 1..17 anchors (runs that wrap across
+// window rows, and short last groups), every whole row, the whole map at
+// once, and lists with repeated anchors.
 func TestScoreSpanMatchesScoreWindow(t *testing.T) {
 	geoms := []struct {
 		name               string
@@ -57,7 +59,7 @@ func TestScoreSpanMatchesScoreWindow(t *testing.T) {
 		{"tail-7x3x5", 7, 3, 5}, // BlockCells 1, Bins 5: rowLen 35
 		{"short-1x2x3", 1, 2, 3},
 	}
-	const maxSpan = 17
+	const maxRun = 17
 	for _, kernel := range []bool{true, false} {
 		if kernel && !haveSpanKernel {
 			t.Log("no AVX2 on this CPU: only the fallback path runs")
@@ -67,30 +69,52 @@ func TestScoreSpanMatchesScoreWindow(t *testing.T) {
 			t.Run(fmt.Sprintf("kernel=%v/%s", kernel, g.name), func(t *testing.T) {
 				useSpanKernel(t, kernel)
 				rng := rand.New(rand.NewSource(int64(g.wbx*1000 + g.blockLen)))
-				fm := spanTestMap(rng, g.wbx+maxSpan+2, g.wby+3, g.blockLen)
 				w := make([]float64, g.wbx*g.wby*g.blockLen)
 				for i := range w {
 					w[i] = spanTestValue(rng)
 				}
-				nx := fm.BlocksX - g.wbx + 1
-				for n := 1; n <= maxSpan; n++ {
-					for by := 0; by+g.wby <= fm.BlocksY; by++ {
-						for _, bx0 := range []int{0, nx - n} {
-							dst := make([]float64, n)
-							if !fm.ScoreSpan(w, bx0, by, g.wbx, g.wby, dst) {
-								t.Fatalf("span bx0=%d by=%d n=%d rejected", bx0, by, n)
+				for _, nx := range []int{1, 2, 3, 4, 5, 6, 7, 19} {
+					fm := spanTestMap(rng, g.wbx+nx-1, g.wby+3, g.blockLen)
+					var all []Anchor
+					want := map[Anchor]float64{}
+					for y := 0; y+g.wby <= fm.BlocksY; y++ {
+						for x := 0; x+g.wbx <= fm.BlocksX; x++ {
+							a := Anchor{x, y}
+							s, ok := fm.ScoreWindow(w, x, y, g.wbx, g.wby)
+							if !ok {
+								t.Fatalf("nx=%d: window %v rejected", nx, a)
 							}
-							for i, got := range dst {
-								want, ok := fm.ScoreWindow(w, bx0+i, by, g.wbx, g.wby)
-								if !ok {
-									t.Fatalf("window (%d,%d) rejected", bx0+i, by)
-								}
-								if math.Float64bits(got) != math.Float64bits(want) {
-									t.Fatalf("span bx0=%d by=%d n=%d window %d: got %x, ScoreWindow %x",
-										bx0, by, n, i, got, want)
-								}
+							all, want[a] = append(all, a), s
+						}
+					}
+					check := func(what string, anchors []Anchor) {
+						t.Helper()
+						dst := make([]float64, len(anchors))
+						if !fm.ScoreAnchors(w, g.wbx, g.wby, anchors, dst) {
+							t.Fatalf("nx=%d %s %v: rejected", nx, what, anchors)
+						}
+						for i, a := range anchors {
+							if math.Float64bits(dst[i]) != math.Float64bits(want[a]) {
+								t.Fatalf("nx=%d %s %v: window %d %v got %x, ScoreWindow %x",
+									nx, what, anchors, i, a, dst[i], want[a])
 							}
 						}
+					}
+					for n := 1; n <= maxRun; n++ {
+						for i := 0; i+n <= len(all); i++ {
+							check("run", all[i:i+n])
+						}
+					}
+					for y := 0; y < len(all); y += nx {
+						check("row", all[y:y+nx])
+					}
+					check("map", all)
+					for n := 1; n <= maxRun; n++ {
+						rep := make([]Anchor, n)
+						for i := range rep {
+							rep[i] = all[rng.Intn(min(len(all), 3))]
+						}
+						check("repeats", rep)
 					}
 				}
 			})
@@ -98,8 +122,9 @@ func TestScoreSpanMatchesScoreWindow(t *testing.T) {
 	}
 }
 
-// TestScoreSpanRejectsBadInput checks that a span overhanging the map or
-// a weight vector of the wrong length is refused without touching dst.
+// TestScoreSpanRejectsBadInput checks that an anchor list with a window
+// overhanging the map, a weight vector of the wrong length or a dst of
+// the wrong length is refused without touching dst.
 func TestScoreSpanRejectsBadInput(t *testing.T) {
 	for _, kernel := range []bool{true, false} {
 		if kernel && !haveSpanKernel {
@@ -110,6 +135,13 @@ func TestScoreSpanRejectsBadInput(t *testing.T) {
 			fm := spanTestMap(rand.New(rand.NewSource(3)), 20, 20, 36)
 			w := make([]float64, 8*16*36)
 			nx := fm.BlocksX - 8 + 1 // 13 anchors per row
+			row := func(bx0, by, n int) []Anchor {
+				a := make([]Anchor, n)
+				for i := range a {
+					a[i] = Anchor{bx0 + i, by}
+				}
+				return a
+			}
 			dst := make([]float64, 9)
 			sentinel := func() {
 				for i := range dst {
@@ -126,20 +158,22 @@ func TestScoreSpanRejectsBadInput(t *testing.T) {
 			}
 			for _, bad := range []struct {
 				name        string
-				bx0, by, n  int
+				anchors     []Anchor
+				n           int
 				wbx, wby    int
 				weightsLong int
 			}{
-				{"right overhang", nx - 8, 0, 9, 8, 16, len(w)},
-				{"bottom overhang", 0, 5, 9, 8, 16, len(w)},
-				{"negative bx0", -1, 0, 9, 8, 16, len(w)},
-				{"negative by", 0, -1, 9, 8, 16, len(w)},
-				{"degenerate window", 0, 0, 9, 0, 16, len(w)},
-				{"short weights", 0, 0, 9, 8, 16, len(w) - 1},
-				{"empty span past edge", nx, 0, 0, 8, 16, len(w)},
+				{"right overhang", row(nx-8, 0, 9), 9, 8, 16, len(w)},
+				{"bottom overhang", row(0, 5, 9), 9, 8, 16, len(w)},
+				{"negative x", row(-1, 0, 9), 9, 8, 16, len(w)},
+				{"negative y", row(0, -1, 9), 9, 8, 16, len(w)},
+				{"overhang after a wrap", append(row(nx-4, 0, 4), row(0, 5, 5)...), 9, 8, 16, len(w)},
+				{"degenerate window", row(0, 0, 9), 9, 0, 16, len(w)},
+				{"short weights", row(0, 0, 9), 9, 8, 16, len(w) - 1},
+				{"short dst", row(0, 0, 9), 8, 8, 16, len(w)},
 			} {
 				sentinel()
-				if fm.ScoreSpan(w[:bad.weightsLong], bad.bx0, bad.by, bad.wbx, bad.wby, dst[:bad.n]) {
+				if fm.ScoreAnchors(w[:bad.weightsLong], bad.wbx, bad.wby, bad.anchors, dst[:bad.n]) {
 					t.Errorf("%s: accepted", bad.name)
 				}
 				if !untouched() {
@@ -147,8 +181,11 @@ func TestScoreSpanRejectsBadInput(t *testing.T) {
 				}
 			}
 			sentinel()
-			if !fm.ScoreSpan(w, nx-9, 4, 8, 16, dst) {
-				t.Error("flush span rejected")
+			if !fm.ScoreAnchors(w, 8, 16, row(nx-9, 4, 9), dst) {
+				t.Error("flush row rejected")
+			}
+			if !fm.ScoreAnchors(w, 8, 16, nil, nil) {
+				t.Error("empty list rejected")
 			}
 		})
 	}

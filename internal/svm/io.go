@@ -2,12 +2,12 @@ package svm
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"strconv"
-	"strings"
 )
 
 // The model file format is a small line-oriented text format in the spirit
@@ -76,24 +76,29 @@ func (m *Model) Save(path string) error {
 	return f.Close()
 }
 
-// Read deserializes a model written by Write.
+// Read deserializes a model written by Write. Lines are parsed in the
+// scanner's buffer, so reading a model allocates a fixed handful of times
+// plus the weight vector, whatever its dimension; strings are built only
+// for the headers and for error messages.
 func Read(r io.Reader) (*Model, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(nil, 1<<22)
-	next := func() (string, error) {
+	// next returns the next line without surrounding space. It aliases the
+	// scanner's buffer, so it is only valid until the following call.
+	next := func() ([]byte, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {
-				return "", err
+				return nil, err
 			}
-			return "", io.ErrUnexpectedEOF
+			return nil, io.ErrUnexpectedEOF
 		}
-		return strings.TrimSpace(sc.Text()), nil
+		return bytes.TrimSpace(sc.Bytes()), nil
 	}
 	line, err := next()
 	if err != nil {
 		return nil, fmt.Errorf("svm: reading magic: %w", err)
 	}
-	if line != modelMagic {
+	if string(line) != modelMagic {
 		return nil, fmt.Errorf("svm: bad magic %q", line)
 	}
 	line, err = next()
@@ -101,7 +106,7 @@ func Read(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("svm: reading dim: %w", err)
 	}
 	var dim int
-	if _, err := fmt.Sscanf(line, "dim %d", &dim); err != nil {
+	if _, err := fmt.Sscanf(string(line), "dim %d", &dim); err != nil {
 		return nil, fmt.Errorf("svm: parsing %q: %w", line, err)
 	}
 	if dim <= 0 || dim > 1<<24 {
@@ -112,7 +117,7 @@ func Read(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("svm: reading bias: %w", err)
 	}
 	var biasStr string
-	if _, err := fmt.Sscanf(line, "bias %s", &biasStr); err != nil {
+	if _, err := fmt.Sscanf(string(line), "bias %s", &biasStr); err != nil {
 		return nil, fmt.Errorf("svm: parsing %q: %w", line, err)
 	}
 	bias, err := strconv.ParseFloat(biasStr, 64)
@@ -130,7 +135,7 @@ func Read(r io.Reader) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("svm: reading weight header: %w", err)
 	}
-	if line != "w" {
+	if string(line) != "w" {
 		return nil, fmt.Errorf("svm: expected weight header, got %q", line)
 	}
 	// W grows as weights arrive, so a header claiming 2^24 of them costs
@@ -141,7 +146,7 @@ func Read(r io.Reader) (*Model, error) {
 		if err != nil {
 			return nil, fmt.Errorf("svm: reading weight %d: %w", i, err)
 		}
-		v, err := strconv.ParseFloat(line, 64)
+		v, err := strconv.ParseFloat(string(line), 64)
 		if err != nil {
 			return nil, fmt.Errorf("svm: parsing weight %d %q: %w", i, line, err)
 		}
@@ -157,19 +162,19 @@ func Read(r io.Reader) (*Model, error) {
 	// the weights is a malformed or truncated-then-resumed file; refuse it
 	// instead of silently dropping data.
 	for sc.Scan() {
-		line = strings.TrimSpace(sc.Text())
-		if line == "" {
+		line = bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		cal, err := readCascadeSection(line, next)
+		cal, err := readCascadeSection(string(line), next)
 		if err != nil {
 			return nil, err
 		}
 		m.Calib = cal
 		// Nothing may follow the calibration.
 		for sc.Scan() {
-			if strings.TrimSpace(sc.Text()) != "" {
-				return nil, fmt.Errorf("svm: trailing data after cascade section: %q", strings.TrimSpace(sc.Text()))
+			if line := bytes.TrimSpace(sc.Bytes()); len(line) != 0 {
+				return nil, fmt.Errorf("svm: trailing data after cascade section: %q", line)
 			}
 		}
 		break
@@ -182,7 +187,7 @@ func Read(r io.Reader) (*Model, error) {
 
 // readCascadeSection parses the optional trailing calibration block, whose
 // header line has already been consumed into head.
-func readCascadeSection(head string, next func() (string, error)) (*CascadeCalib, error) {
+func readCascadeSection(head string, next func() ([]byte, error)) (*CascadeCalib, error) {
 	var stages int
 	if _, err := fmt.Sscanf(head, "cascade %d", &stages); err != nil {
 		return nil, fmt.Errorf("svm: unexpected trailing data %q", head)
@@ -195,7 +200,7 @@ func readCascadeSection(head string, next func() (string, error)) (*CascadeCalib
 		return nil, fmt.Errorf("svm: reading cascade margin: %w", err)
 	}
 	var marginStr string
-	if _, err := fmt.Sscanf(line, "margin %s", &marginStr); err != nil {
+	if _, err := fmt.Sscanf(string(line), "margin %s", &marginStr); err != nil {
 		return nil, fmt.Errorf("svm: parsing %q: %w", line, err)
 	}
 	margin, err := strconv.ParseFloat(marginStr, 64)
@@ -206,7 +211,7 @@ func readCascadeSection(head string, next func() (string, error)) (*CascadeCalib
 	if err != nil {
 		return nil, fmt.Errorf("svm: reading cascade threshold header: %w", err)
 	}
-	if line != "t" {
+	if string(line) != "t" {
 		return nil, fmt.Errorf("svm: expected cascade threshold header, got %q", line)
 	}
 	cal := &CascadeCalib{Stages: stages, Margin: margin, Thresholds: make([]float64, stages)}
@@ -215,7 +220,7 @@ func readCascadeSection(head string, next func() (string, error)) (*CascadeCalib
 		if err != nil {
 			return nil, fmt.Errorf("svm: reading cascade threshold %d: %w", i, err)
 		}
-		cal.Thresholds[i], err = strconv.ParseFloat(line, 64)
+		cal.Thresholds[i], err = strconv.ParseFloat(string(line), 64)
 		if err != nil {
 			return nil, fmt.Errorf("svm: parsing cascade threshold %d %q: %w", i, line, err)
 		}

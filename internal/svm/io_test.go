@@ -98,3 +98,29 @@ func TestReadAllocatesWhatArrives(t *testing.T) {
 		t.Errorf("a %d-byte model allocated %d B, want < 64 KiB", len(src), least)
 	}
 }
+
+// TestReadAllocsDoNotScaleWithDim: reading a model costs a fixed handful
+// of allocations plus the weight vector's growth, never one per weight
+// line, so the budget holds from 16 weights to three weight chunks.
+func TestReadAllocsDoNotScaleWithDim(t *testing.T) {
+	for _, dim := range []int{16, 4608, 3 * weightChunk} {
+		m := &Model{W: make([]float64, dim), B: 0.5}
+		for i := range m.W {
+			m.W[i] = math.Sin(float64(i))
+		}
+		var buf bytes.Buffer
+		if err := m.Write(&buf); err != nil {
+			t.Fatal(err)
+		}
+		src := buf.Bytes()
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Read(bytes.NewReader(src)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("dim %d: %v allocs per Read", dim, allocs)
+		if allocs > 24 {
+			t.Errorf("dim %d: %v allocs per Read, want <= 24", dim, allocs)
+		}
+	}
+}
