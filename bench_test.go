@@ -424,8 +424,19 @@ func BenchmarkComputeCells(b *testing.B) {
 	}
 }
 
+// benchWorkers is the worker counts of the 1080p front-end rows: 1 and,
+// on a multi-core host, GOMAXPROCS.
+func benchWorkers() []int {
+	if n := runtime.GOMAXPROCS(0); n > 1 {
+		return []int{1, n}
+	}
+	return []int{1}
+}
+
 // BenchmarkNormalize compares allocating block normalization against the
-// arena-backed NormalizeInto on a VGA cell grid.
+// arena-backed NormalizeInto on a VGA cell grid, and times NormalizeInto on
+// a 1080p grid (1080p/workersN, N = 1 and GOMAXPROCS): the hog.norm_ms
+// stage of the paper's frame.
 func BenchmarkNormalize(b *testing.B) {
 	cfg := hog.DefaultConfig()
 	img := noiseFrame(640, 480, 22)
@@ -441,8 +452,8 @@ func BenchmarkNormalize(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("into/workers%d", workers), func(b *testing.B) {
+	into := func(grid *hog.CellGrid, workers int) func(b *testing.B) {
+		return func(b *testing.B) {
 			var fm hog.FeatureMap
 			if err := hog.NormalizeInto(grid, cfg, &fm, workers); err != nil { // size fm
 				b.Fatal(err)
@@ -454,7 +465,59 @@ func BenchmarkNormalize(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
+		}
+	}
+	for _, workers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("into/workers%d", workers), into(grid, workers))
+	}
+	hd, err := hog.ComputeCells(noiseFrame(1920, 1080, 29), cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range benchWorkers() {
+		b.Run(fmt.Sprintf("1080p/workers%d", workers), into(hd, workers))
+	}
+}
+
+// BenchmarkPyramid times the feature pyramid build alone, every level
+// resampled from a 1080p base map with the default scale config, on the
+// vector row kernel and on the scalar loop (kernel=false), at workers 1
+// and GOMAXPROCS. SetBytes is the level features one build writes, so
+// the MB/s column is the write bandwidth the resampler achieves.
+func BenchmarkPyramid(b *testing.B) {
+	cfg := core.DefaultConfig()
+	wbx, wby := cfg.HOG.WindowBlocks(cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH))
+	ctx := context.Background()
+	base, err := hog.Compute(noiseFrame(1920, 1080, 29), cfg.HOG)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, kernel := range []bool{true, false} {
+		for _, workers := range benchWorkers() {
+			b.Run(fmt.Sprintf("1080p/kernel=%v/workers%d", kernel, workers), func(b *testing.B) {
+				if kernel && !featpyr.ResampleKernel() {
+					b.Skip("no vector resample kernel on this CPU")
+				}
+				defer featpyr.SetResampleKernel(featpyr.SetResampleKernel(kernel))
+				var p featpyr.Pyramid
+				build := func() {
+					if err := p.Build(ctx, base, cfg.ScaleStep, wbx, wby, 0, 0, cfg.Scale, workers); err != nil {
+						b.Fatal(err)
+					}
+				}
+				build() // grow the level store
+				written := 0
+				for _, l := range p.Levels[1:] {
+					written += 8 * len(l.Map.Feat)
+				}
+				b.SetBytes(int64(written))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					build()
+				}
+			})
+		}
 	}
 }
 
@@ -557,11 +620,7 @@ func BenchmarkFrontEnd(b *testing.B) {
 	cfg := core.DefaultConfig()
 	wbx, wby := cfg.HOG.WindowBlocks(cfg.HOG.WindowCells(cfg.WindowW, cfg.WindowH))
 	ctx := context.Background()
-	workerCounts := []int{1}
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		workerCounts = append(workerCounts, n)
-	}
-	for _, workers := range workerCounts {
+	for _, workers := range benchWorkers() {
 		b.Run(fmt.Sprintf("1080p/workers%d", workers), func(b *testing.B) {
 			s := hog.NewScratch()
 			var p featpyr.Pyramid

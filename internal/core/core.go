@@ -604,13 +604,16 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 	}
 	fs.octPlan = d.planOctaves(frame, base, fs.octPlan[:0])
 	skip := d.skipFinest(len(fs.octPlan))
-	total := 0
+	total, cols := 0, 0
 	for _, l := range fs.octPlan[skip:] {
 		if l.rel != 1 || l.octave > 0 {
 			total += l.outBX * l.outBY * base.BlockLen
 		}
+		if l.rel != 1 {
+			cols += l.outBX
+		}
 	}
-	fs.pyr.Reserve(total)
+	fs.pyr.Reserve(total, cols)
 	octFM, extracted := base, 0
 	for i := skip; i < len(fs.octPlan); i++ {
 		l := fs.octPlan[i]

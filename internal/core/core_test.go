@@ -113,6 +113,13 @@ func TestNewDetectorChecksModel(t *testing.T) {
 	if _, err := NewDetector(ok, bad); err == nil {
 		t.Error("NaN octave lambda should fail NewDetector")
 	}
+	// A NaN epsilon would score every window NaN, and NaN never falls at
+	// or below the threshold, so every window would be a detection.
+	bad = cfg
+	bad.HOG.Epsilon = math.NaN()
+	if _, err := NewDetector(ok, bad); err == nil {
+		t.Error("NaN HOG epsilon should fail NewDetector")
+	}
 }
 
 func TestNMS(t *testing.T) {

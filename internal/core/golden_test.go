@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/eval"
+	"repro/internal/featpyr"
 	"repro/internal/geom"
 	"repro/internal/hog"
 	"repro/internal/svm"
@@ -138,9 +139,10 @@ func writeGolden(t *testing.T, got map[string][]eval.Detection) {
 // scan is sharded across workers or routed through the staged cascade
 // kernel with floors that never reject. Any numerics change — feature
 // extraction, scoring order, NMS — shows up here as a concrete detection
-// diff. The whole check runs three times: on the default kernels, with
-// hog's vector span kernel off, and with hog's vector cell kernel off, so
-// both scan paths and both cell-binning paths are pinned to the same
+// diff. The whole check runs four times: on the default kernels, with
+// hog's vector span kernel off, with hog's vector cell kernel off, and with
+// featpyr's vector resample kernel off, so both scan paths, both
+// cell-binning paths and both resampling paths are pinned to the same
 // committed bits.
 func TestGoldenDetections(t *testing.T) {
 	det, _ := testDetector(t)
@@ -155,7 +157,8 @@ func TestGoldenDetections(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatalf("golden fixture %s is empty (regenerate with -update)", goldenPath)
 	}
-	kernels := fmt.Sprintf("default kernels (vector span %v, vector cells %v)", hog.SpanKernel(), hog.CellKernel())
+	kernels := fmt.Sprintf("default kernels (vector span %v, vector cells %v, vector resample %v)",
+		hog.SpanKernel(), hog.CellKernel(), featpyr.ResampleKernel())
 	checkGolden(t, kernels, got, want, len(seq.Frames))
 
 	func() {
@@ -163,8 +166,13 @@ func TestGoldenDetections(t *testing.T) {
 		checkGolden(t, "scalar span kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
 	}()
 
-	defer hog.SetCellKernel(hog.SetCellKernel(false))
-	checkGolden(t, "scalar cell kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
+	func() {
+		defer hog.SetCellKernel(hog.SetCellKernel(false))
+		checkGolden(t, "scalar cell kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
+	}()
+
+	defer featpyr.SetResampleKernel(featpyr.SetResampleKernel(false))
+	checkGolden(t, "scalar resample kernel", goldenDetections(t, det.Model(), seq), want, len(seq.Frames))
 }
 
 // goldenDetections runs every golden mode over the clip, checking on the

@@ -17,6 +17,7 @@
 package featpyr
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
@@ -92,23 +93,103 @@ func ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry float64, cfg Sca
 	}
 	t0 := time.Now()
 	out := newMap(outBX, outBY, fm)
-	resampleRows(out, fm, rx, ry, cfg, 0, outBY)
+	resampleRows(out, fm, newTaps(outBX, fm, rx), rx, ry, cfg, 0, outBY)
 	cfg.LevelTimer.Observe(time.Since(t0))
 	return out, nil
+}
+
+// rowKernel selects the AVX2 bilinear row kernel in resampleRows. It
+// starts on when the CPU and OS support it (haveRowKernel) and is only
+// ever switched by tests pinning both paths; the features are
+// bit-identical either way.
+var rowKernel atomic.Bool
+
+func init() { rowKernel.Store(haveRowKernel) }
+
+// ResampleKernel reports whether bilinear resampling runs the vector row
+// kernel.
+func ResampleKernel() bool { return rowKernel.Load() }
+
+// SetResampleKernel turns the vector row kernel on or off and returns the
+// previous setting. It stays off on a CPU without the kernel. It exists so
+// tests can pin the scalar path bit for bit; it changes speed, never a
+// feature.
+func SetResampleKernel(on bool) (prev bool) {
+	return rowKernel.Swap(on && haveRowKernel)
+}
+
+// xTap is the horizontal half of one output block column's bilinear
+// sample, the same on every output row: the element offsets, within a
+// source block row, of its left and right source blocks (clamped to the
+// map), and the weights ax and 1-ax. The row kernel reads it as four
+// words; its layout is fixed by resample_amd64.s.
+type xTap struct {
+	off0, off1 int
+	ax, omx    float64
+}
+
+// fillTaps writes the column taps of resampling src with source-per-target
+// ratio rx into taps, one per output block column, with the expressions
+// resampleRows' scalar loop evaluates per block.
+func fillTaps(taps []xTap, src *hog.FeatureMap, rx float64) {
+	for ox := range taps {
+		fx := (float64(ox)+0.5)*rx - 0.5
+		x0 := int(math.Floor(fx))
+		ax := fx - float64(x0)
+		taps[ox] = xTap{
+			off0: clampi(x0, 0, src.BlocksX-1) * src.BlockLen,
+			off1: clampi(x0+1, 0, src.BlocksX-1) * src.BlockLen,
+			ax:   ax,
+			omx:  1 - ax,
+		}
+	}
+}
+
+// newTaps returns the column taps of resampling src into a bx-wide map.
+func newTaps(bx int, src *hog.FeatureMap, rx float64) []xTap {
+	taps := make([]xTap, bx)
+	fillTaps(taps, src, rx)
+	return taps
 }
 
 // resampleRows writes output block rows [oy0, oy1) of dst by resampling src
 // with source-per-target ratios rx, ry (see ScaleMapRatio), applying the
 // Lambda gain and Renormalize of cfg per block. dst must already hold its
-// grid: BlocksX x BlocksY blocks of src.BlockLen features. Each output
-// block depends on src alone, so any partition of the rows produces the
-// bits of one whole-map call; it is the kernel every float scaler path
-// runs, serially or as a row band of a parallel build.
-func resampleRows(dst, src *hog.FeatureMap, rx, ry float64, cfg ScaleConfig, oy0, oy1 int) {
+// grid: BlocksX x BlocksY blocks of src.BlockLen features, and taps must be
+// fillTaps' columns for it. Each output block depends on src alone, so any
+// partition of the rows produces the bits of one whole-map call; it is the
+// kernel every float scaler path runs, serially or as a row band of a
+// parallel build.
+//
+// With the row kernel on, a bilinear output row is one bilinearRow call:
+// the column terms come from taps, the row terms are computed once per
+// row, and every feature gets the scalar loop's operations in its order,
+// so the bits do not depend on the kernel. Nearest and Renormalize's
+// reduction stay scalar.
+func resampleRows(dst, src *hog.FeatureMap, taps []xTap, rx, ry float64, cfg ScaleConfig, oy0, oy1 int) {
 	n := src.BlockLen
 	gain := 1.0
 	if cfg.Lambda != 0 {
 		gain = math.Pow(math.Sqrt(rx*ry), -cfg.Lambda)
+	}
+	if !cfg.Nearest && rowKernel.Load() {
+		taps = taps[:dst.BlocksX]
+		rowLen, outLen := src.BlocksX*n, dst.BlocksX*n
+		for oy := oy0; oy < oy1; oy++ {
+			fy := (float64(oy)+0.5)*ry - 0.5
+			y0 := int(math.Floor(fy))
+			ay := fy - float64(y0)
+			r0 := src.Feat[clampi(y0, 0, src.BlocksY-1)*rowLen:][:rowLen]
+			r1 := src.Feat[clampi(y0+1, 0, src.BlocksY-1)*rowLen:][:rowLen]
+			out := dst.Feat[oy*outLen : (oy+1)*outLen]
+			bilinearRow(&out[0], &r0[0], &r1[0], &taps[0], dst.BlocksX, n, ay, 1-ay, gain, cfg.Lambda != 0)
+			if cfg.Renormalize {
+				for b := 0; b < outLen; b += n {
+					renormalize(out[b:b+n], src.Cfg.Epsilon)
+				}
+			}
+		}
+		return
 	}
 	for oy := oy0; oy < oy1; oy++ {
 		fy := (float64(oy)+0.5)*ry - 0.5
@@ -217,6 +298,11 @@ type Pyramid struct {
 	maps  []hog.FeatureMap
 	nmaps int
 
+	// Column taps of the levels' resamples, carved like the slab: tused
+	// handed out and tneed requested since the last reset.
+	taps         []xTap
+	tused, tneed int
+
 	// Resampling fan-out: the row bands of the current call, the scale
 	// config they run with, per-level shard time, and the par.Do job,
 	// bound once because a method value built per call would allocate.
@@ -230,6 +316,7 @@ type Pyramid struct {
 // slot indexes the per-level shard-time accumulator.
 type band struct {
 	dst, src *hog.FeatureMap
+	taps     []xTap
 	rx, ry   float64
 	oy0, oy1 int
 	slot     int
@@ -243,19 +330,26 @@ const bandRows = 8
 // Reset drops every level and map of the previous build, recycling their
 // storage. The slab grows to what the previous build asked for, so a
 // geometry seen once is served from it from then on.
-func (p *Pyramid) Reset() { p.reset(0) }
+func (p *Pyramid) Reset() { p.reset(0, 0) }
 
-// Reserve is Reset, also growing the storage to at least n features, so
-// that maps of up to n features in all are carved from it without
-// allocating, on the first frame of a geometry too.
-func (p *Pyramid) Reserve(n int) { p.reset(n) }
+// Reserve is Reset, also growing the storage to at least features
+// features and the resampling tables to at least columns output block
+// columns (the sum of BlocksX over the maps Scale will resample), so that
+// such maps are carved and resampled without allocating, on the first
+// frame of a geometry too.
+func (p *Pyramid) Reserve(features, columns int) { p.reset(features, columns) }
 
-// reset is Reset, also growing the slab to at least reserve elements.
-func (p *Pyramid) reset(reserve int) {
-	if n := max(p.need, reserve); n > len(p.slab) {
+// reset is Reset, also growing the slab to at least features elements and
+// the tap store to at least columns taps.
+func (p *Pyramid) reset(features, columns int) {
+	if n := max(p.need, features); n > len(p.slab) {
 		p.slab = make([]float64, n)
 	}
+	if n := max(p.tneed, columns); n > len(p.taps) {
+		p.taps = make([]xTap, n)
+	}
 	p.used, p.need, p.nmaps = 0, 0, 0
+	p.tused, p.tneed = 0, 0
 	p.Levels = p.Levels[:0]
 }
 
@@ -263,15 +357,7 @@ func (p *Pyramid) reset(reserve int) {
 // carved from the pyramid's storage; its features are stale and must all be
 // written. It stays valid until the next Build, BuildChained or Reset.
 func (p *Pyramid) Map(bx, by int, like *hog.FeatureMap) *hog.FeatureMap {
-	n := bx * by * like.BlockLen
-	p.need += n
-	var feat []float64
-	if p.used+n <= len(p.slab) {
-		feat = p.slab[p.used : p.used+n : p.used+n]
-		p.used += n
-	} else {
-		feat = make([]float64, n) // past the slab: the next reset grows it
-	}
+	feat := carve(p.slab, &p.used, &p.need, bx*by*like.BlockLen)
 	if p.nmaps == len(p.maps) {
 		// Headers handed out this frame stay in the old array; from the
 		// next reset on, the larger one serves them all.
@@ -282,6 +368,20 @@ func (p *Pyramid) Map(bx, by int, like *hog.FeatureMap) *hog.FeatureMap {
 	p.nmaps++
 	*m = hog.FeatureMap{BlocksX: bx, BlocksY: by, BlockLen: like.BlockLen, Feat: feat, Cfg: like.Cfg}
 	return m
+}
+
+// carve hands out the next n elements of store, *used of which are handed
+// out already, and adds n to *need. Past the end of store it allocates
+// instead; the next reset grows store to *need, so a geometry seen once is
+// served from it from then on.
+func carve[T any](store []T, used, need *int, n int) []T {
+	*need += n
+	if *used+n > len(store) {
+		return make([]T, n)
+	}
+	s := store[*used : *used+n : *used+n]
+	*used += n
+	return s
 }
 
 // Scale resamples src to an outBX x outBY map carved from the pyramid's
@@ -305,11 +405,14 @@ func (p *Pyramid) Scale(ctx context.Context, src *hog.FeatureMap, outBX, outBY i
 	return m, nil
 }
 
-// addBands queues the row bands of resampling src into dst.
+// addBands queues the row bands of resampling src into dst, with the
+// column taps they share carved from the pyramid's tap store.
 func (p *Pyramid) addBands(dst, src *hog.FeatureMap, rx, ry float64, slot int) {
+	taps := carve(p.taps, &p.tused, &p.tneed, dst.BlocksX)
+	fillTaps(taps, src, rx)
 	p.bands = slices.Grow(p.bands, (dst.BlocksY+bandRows-1)/bandRows)
 	for oy := 0; oy < dst.BlocksY; oy += bandRows {
-		p.bands = append(p.bands, band{dst: dst, src: src, rx: rx, ry: ry,
+		p.bands = append(p.bands, band{dst: dst, src: src, taps: taps, rx: rx, ry: ry,
 			oy0: oy, oy1: min(oy+bandRows, dst.BlocksY), slot: slot})
 	}
 }
@@ -339,7 +442,7 @@ func (p *Pyramid) resample(ctx context.Context, cfg ScaleConfig, levels, workers
 func (p *Pyramid) runBand(i int) error {
 	b := &p.bands[i]
 	t0 := time.Now()
-	resampleRows(b.dst, b.src, b.rx, b.ry, p.cfg, b.oy0, b.oy1)
+	resampleRows(b.dst, b.src, b.taps, b.rx, b.ry, p.cfg, b.oy0, b.oy1)
 	p.ns[b.slot].Add(int64(time.Since(t0)))
 	return nil
 }
@@ -351,8 +454,9 @@ func (p *Pyramid) runBand(i int) error {
 // directly from base with cfg, to avoid compounding interpolation error
 // (the hardware's chained scaler of Figure 6 is BuildChained and package
 // hw/scaler). Every level's grid is planned up front, and the (level, row
-// band) jobs of all levels run together on up to workers goroutines; each
-// level's bits do not depend on the split. cfg.LevelTimer gets one
+// band) jobs of all levels run together, in the order of the base rows
+// they start at, on up to workers goroutines; each level's bits do not
+// depend on the split or the order. cfg.LevelTimer gets one
 // observation per resampled level, the sum of its bands' times. On error,
 // including ctx ending mid-build, p's levels are unusable.
 //
@@ -379,13 +483,14 @@ func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64,
 	}
 	shed = max(min(shed, levels-1), 0)
 	first := max(shed, 1) // the first level resampled from base
-	total, bands := 0, 0
+	total, cols, bands := 0, 0, 0
 	for i := first; i < levels; i++ {
 		_, bx, by := grid(i)
 		total += bx * by * base.BlockLen
+		cols += bx
 		bands += (by + bandRows - 1) / bandRows
 	}
-	p.reset(total)
+	p.reset(total, cols)
 	if levels == 0 {
 		return fmt.Errorf("featpyr: base map %dx%d smaller than window %dx%d",
 			base.BlocksX, base.BlocksY, minBX, minBY)
@@ -405,6 +510,14 @@ func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64,
 		}
 		p.Levels = append(p.Levels, Level{Scale: scale, Map: m})
 	}
+	// Every level reads the same base map. Run the bands in the order of
+	// the base rows they start at, not level by level, so that bands of
+	// several levels read the same base rows while they are still in
+	// cache, instead of every level streaming the whole base map again.
+	// The order changes no bits: each output block depends on base alone.
+	slices.SortStableFunc(p.bands, func(a, b band) int {
+		return cmp.Compare(float64(a.oy0)*a.ry, float64(b.oy0)*b.ry)
+	})
 	return p.resample(ctx, cfg, levels-first, workers)
 }
 
@@ -429,12 +542,13 @@ func (p *Pyramid) BuildChained(ctx context.Context, base *hog.FeatureMap, step f
 	next := func(bx, by int) (int, int) {
 		return int(math.Round(float64(bx) / step)), int(math.Round(float64(by) / step))
 	}
-	levels, total := 1, 0
+	levels, total, cols := 1, 0, 0
 	for bx, by := next(base.BlocksX, base.BlocksY); levels < maxLevels && bx >= minBX && by >= minBY; bx, by = next(bx, by) {
 		total += bx * by * base.BlockLen
+		cols += bx
 		levels++
 	}
-	p.reset(total)
+	p.reset(total, cols)
 	p.Levels = append(slices.Grow(p.Levels, levels), Level{Scale: 1, Map: base})
 	prev := base
 	for i := 1; i < levels; i++ {

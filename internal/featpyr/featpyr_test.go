@@ -332,87 +332,205 @@ var scaleConfigs = map[string]ScaleConfig{
 	"nearest":     {Nearest: true, Lambda: 0.2},
 }
 
-// TestResampleRowsAnySplitBitIdentical pins the row-range resampler: any
-// partition of the output rows into bands, in any order, reproduces the
-// whole-map resample bit for bit.
-func TestResampleRowsAnySplitBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	src := randomMap(t, 200, 328, 40)
-	for name, cfg := range scaleConfigs {
-		for _, grid := range [][2]int{{19, 33}, {7, 1}, {25, 41}} {
-			rx := float64(src.BlocksX) / float64(grid[0]) * 1.03
-			ry := float64(src.BlocksY) / float64(grid[1])
-			want, err := ScaleMapRatio(src, grid[0], grid[1], rx, ry, cfg)
-			if err != nil {
-				t.Fatal(err)
+// kernelPaths runs f once per resample dispatch path, pinning the row
+// kernel on (where the CPU has it; a CPU without it logs the skip) and
+// off.
+func kernelPaths(t *testing.T, f func(t *testing.T, kernel bool)) {
+	t.Helper()
+	for _, kernel := range []bool{true, false} {
+		t.Run(fmt.Sprintf("kernel=%v", kernel), func(t *testing.T) {
+			if kernel && !haveRowKernel {
+				t.Skip("no AVX2: the vector row kernel cannot run here")
 			}
-			for trial := 0; trial < 5; trial++ {
-				got := newMap(grid[0], grid[1], src)
-				for i := range got.Feat {
-					got.Feat[i] = math.NaN() // every element must be written
-				}
-				var cuts []int
-				for y := 1; y < grid[1]; y++ {
-					if rng.Intn(3) == 0 {
-						cuts = append(cuts, y)
-					}
-				}
-				cuts = append(append([]int{0}, cuts...), grid[1])
-				for _, b := range rng.Perm(len(cuts) - 1) {
-					resampleRows(got, src, rx, ry, cfg, cuts[b], cuts[b+1])
-				}
-				if i := sameBits(got.Feat, want.Feat); i >= 0 {
-					t.Fatalf("%s %v cuts %v: feature %d = %v, whole-map %v", name, grid, cuts, i, got.Feat[i], want.Feat[i])
-				}
-			}
-		}
+			defer SetResampleKernel(SetResampleKernel(kernel))
+			f(t, kernel)
+		})
 	}
 }
 
-// TestPyramidBuildMatchesScaleMap pins the parallel builds to the
-// single-map scaler bit for bit at every worker count: a direct level is
-// ScaleMap of the base, a chained level ScaleMap of the level before. The
-// level timer gets exactly one observation per resampled level.
-func TestPyramidBuildMatchesScaleMap(t *testing.T) {
-	ctx := context.Background()
-	base := randomMap(t, 264, 400, 42)
-	for name, cfg := range scaleConfigs {
-		for _, workers := range []int{1, 2, 3, 8} {
-			var p Pyramid
-			for _, chained := range []bool{false, true} {
-				timer := new(obs.Histogram)
-				cfg.LevelTimer = timer
-				var err error
-				if chained {
-					err = p.BuildChained(ctx, base, 1.15, 8, 16, 0, cfg, workers)
-				} else {
-					err = p.Build(ctx, base, 1.15, 8, 16, 0, 0, cfg, workers)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := timer.Snapshot().Count, uint64(len(p.Levels)-1); got != want {
-					t.Errorf("%s workers=%d chained=%v: %d level timings for %d resampled levels", name, workers, chained, got, want)
-				}
-				cfg.LevelTimer = nil
-				prev := base
-				for i, l := range p.Levels[1:] {
-					src := base
-					if chained {
-						src = prev
+// scalarScale is ScaleMapRatio on the scalar loop, the reference every
+// resample bit-equality test compares against, whichever path is under
+// test.
+func scalarScale(t *testing.T, src *hog.FeatureMap, bx, by int, rx, ry float64, cfg ScaleConfig) *hog.FeatureMap {
+	t.Helper()
+	defer SetResampleKernel(SetResampleKernel(false))
+	m, err := ScaleMapRatio(src, bx, by, rx, ry, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestResampleRowsAnySplitBitIdentical pins the row-range resampler: on
+// either dispatch path, any partition of the output rows into bands, in
+// any order, reproduces the scalar whole-map resample bit for bit.
+func TestResampleRowsAnySplitBitIdentical(t *testing.T) {
+	src := randomMap(t, 200, 328, 40)
+	kernelPaths(t, func(t *testing.T, _ bool) {
+		rng := rand.New(rand.NewSource(41))
+		for name, cfg := range scaleConfigs {
+			for _, grid := range [][2]int{{19, 33}, {7, 1}, {25, 41}} {
+				rx := float64(src.BlocksX) / float64(grid[0]) * 1.03
+				ry := float64(src.BlocksY) / float64(grid[1])
+				want := scalarScale(t, src, grid[0], grid[1], rx, ry, cfg)
+				taps := newTaps(grid[0], src, rx)
+				for trial := 0; trial < 5; trial++ {
+					got := newMap(grid[0], grid[1], src)
+					for i := range got.Feat {
+						got.Feat[i] = math.NaN() // every element must be written
 					}
-					want, err := ScaleMap(src, l.Map.BlocksX, l.Map.BlocksY, cfg)
-					if err != nil {
-						t.Fatal(err)
+					var cuts []int
+					for y := 1; y < grid[1]; y++ {
+						if rng.Intn(3) == 0 {
+							cuts = append(cuts, y)
+						}
 					}
-					if j := sameBits(l.Map.Feat, want.Feat); j >= 0 {
-						t.Fatalf("%s workers=%d chained=%v level %d: feature %d differs from ScaleMap", name, workers, chained, i+1, j)
+					cuts = append(append([]int{0}, cuts...), grid[1])
+					for _, b := range rng.Perm(len(cuts) - 1) {
+						resampleRows(got, src, taps, rx, ry, cfg, cuts[b], cuts[b+1])
 					}
-					prev = l.Map
+					if i := sameBits(got.Feat, want.Feat); i >= 0 {
+						t.Fatalf("%s %v cuts %v: feature %d = %v, scalar whole-map %v", name, grid, cuts, i, got.Feat[i], want.Feat[i])
+					}
 				}
 			}
 		}
+	})
+}
+
+// TestPyramidBuildMatchesScaleMap pins the parallel builds, on either
+// dispatch path, to the scalar single-map scaler bit for bit at every
+// worker count: a direct level is ScaleMap of the base, a chained level
+// ScaleMap of the level before. The level timer gets exactly one
+// observation per resampled level.
+func TestPyramidBuildMatchesScaleMap(t *testing.T) {
+	ctx := context.Background()
+	base := randomMap(t, 264, 400, 42)
+	kernelPaths(t, func(t *testing.T, _ bool) {
+		for name, cfg := range scaleConfigs {
+			for _, workers := range []int{1, 2, 3, 8} {
+				var p Pyramid
+				for _, chained := range []bool{false, true} {
+					timer := new(obs.Histogram)
+					cfg.LevelTimer = timer
+					var err error
+					if chained {
+						err = p.BuildChained(ctx, base, 1.15, 8, 16, 0, cfg, workers)
+					} else {
+						err = p.Build(ctx, base, 1.15, 8, 16, 0, 0, cfg, workers)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, want := timer.Snapshot().Count, uint64(len(p.Levels)-1); got != want {
+						t.Errorf("%s workers=%d chained=%v: %d level timings for %d resampled levels", name, workers, chained, got, want)
+					}
+					cfg.LevelTimer = nil
+					prev := base
+					for i, l := range p.Levels[1:] {
+						src := base
+						if chained {
+							src = prev
+						}
+						want := scalarScale(t, src, l.Map.BlocksX, l.Map.BlocksY,
+							float64(src.BlocksX)/float64(l.Map.BlocksX), float64(src.BlocksY)/float64(l.Map.BlocksY), cfg)
+						if j := sameBits(l.Map.Feat, want.Feat); j >= 0 {
+							t.Fatalf("%s workers=%d chained=%v level %d: feature %d differs from scalar ScaleMap", name, workers, chained, i+1, j)
+						}
+						prev = l.Map
+					}
+				}
+			}
+		}
+	})
+}
+
+// synthMap returns a bx x by map under cfg filled with seeded values in
+// [0, 0.5), about one in eight exactly zero: resampling reads no HOG
+// structure, so any block length the config implies can be exercised.
+func synthMap(bx, by int, cfg hog.Config, seed int64) *hog.FeatureMap {
+	rng := rand.New(rand.NewSource(seed))
+	m := &hog.FeatureMap{BlocksX: bx, BlocksY: by, BlockLen: cfg.BlockLen(), Cfg: cfg}
+	m.Feat = make([]float64, bx*by*m.BlockLen)
+	for i := range m.Feat {
+		if rng.Intn(8) != 0 {
+			m.Feat[i] = rng.Float64() / 2
+		}
 	}
+	return m
+}
+
+// TestResampleKernelMatchesScalar sweeps the row kernel's edge cases
+// against the scalar loop with math.Float64bits: block lengths that are
+// not a multiple of four (9 and 45, and 2, which is all tail), every
+// ScaleConfig variant, 1-block-wide maps, and up-sampling, whose samples
+// clamp at both edges; through ScaleMapRatio and through Pyramid.Scale at
+// workers 1, 2, 3 and 8 over storage that held NaNs, so every feature must
+// be written.
+func TestResampleKernelMatchesScalar(t *testing.T) {
+	ctx := context.Background()
+	hogCfg := func(bins, cells int) hog.Config {
+		c := hog.DefaultConfig()
+		c.Bins, c.BlockCells = bins, cells
+		return c
+	}
+	configs := map[string]hog.Config{
+		"len36": hog.DefaultConfig(),
+		"len9":  hogCfg(9, 1),
+		"len45": hogCfg(5, 3),
+		"len2":  hogCfg(2, 1),
+	}
+	scales := map[string]ScaleConfig{
+		"lambda+renormalize": {Lambda: 0.11, Renormalize: true},
+		"lambda+nearest":     {Lambda: 0.11, Nearest: true},
+	}
+	for name, c := range scaleConfigs {
+		scales[name] = c
+	}
+	// {source bx, by, target bx, by}
+	geoms := [][4]int{
+		{23, 31, 17, 22}, // down-sample
+		{1, 9, 1, 5},     // 1-block-wide source and target
+		{19, 12, 1, 7},   // wide source to 1-block-wide target
+		{7, 5, 16, 11},   // up-sample: rx, ry < 1
+		{3, 2, 10, 9},    // strong up-sample, clamps at both edges
+	}
+	kernelPaths(t, func(t *testing.T, _ bool) {
+		for cname, hc := range configs {
+			for sname, sc := range scales {
+				for gi, g := range geoms {
+					src := synthMap(g[0], g[1], hc, int64(gi)+7)
+					rx := float64(g[0]) / float64(g[2])
+					ry := float64(g[1]) / float64(g[3])
+					want := scalarScale(t, src, g[2], g[3], rx, ry, sc)
+					got, err := ScaleMapRatio(src, g[2], g[3], rx, ry, sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if i := sameBits(got.Feat, want.Feat); i >= 0 {
+						t.Fatalf("%s %s %v ScaleMapRatio: feature %d = %v, scalar %v", cname, sname, g, i, got.Feat[i], want.Feat[i])
+					}
+					for _, workers := range []int{1, 2, 3, 8} {
+						var p Pyramid
+						if _, err := p.Scale(ctx, src, g[2], g[3], rx, ry, sc, workers); err != nil {
+							t.Fatal(err)
+						}
+						p.Reset()
+						for i := range p.slab {
+							p.slab[i] = math.NaN()
+						}
+						m, err := p.Scale(ctx, src, g[2], g[3], rx, ry, sc, workers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if i := sameBits(m.Feat, want.Feat); i >= 0 {
+							t.Fatalf("%s %s %v workers=%d: feature %d = %v, scalar %v", cname, sname, g, workers, i, m.Feat[i], want.Feat[i])
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 // TestPyramidRebuildReusesStorage: a rebuild of the same geometry reuses

@@ -70,7 +70,6 @@ func (s *Scratch) normalizeInto(ctx context.Context, grid *CellGrid, cfg Config,
 		return fmt.Errorf("hog: grid has %d bins, config %d", grid.Bins, cfg.Bins)
 	}
 	var bx, by int
-	perCell := false
 	switch cfg.Layout {
 	case LayoutOverlap:
 		bx = grid.CellsX - cfg.BlockCells + 1
@@ -80,7 +79,6 @@ func (s *Scratch) normalizeInto(ctx context.Context, grid *CellGrid, cfg Config,
 		}
 	case LayoutPerCell:
 		bx, by = grid.CellsX, grid.CellsY
-		perCell = true
 	default:
 		return fmt.Errorf("hog: unknown layout %v", cfg.Layout)
 	}
@@ -92,7 +90,7 @@ func (s *Scratch) normalizeInto(ctx context.Context, grid *CellGrid, cfg Config,
 	fm.BlocksX, fm.BlocksY, fm.BlockLen = bx, by, blockLen
 	fm.Feat = fm.Feat[:n]
 	fm.Cfg = cfg
-	s.nc = normCtx{grid: grid, fm: fm, perCell: perCell}
+	s.nc = normCtx{grid: grid, fm: fm}
 	err := par.Do(ctx, by, workers, s.normJob)
 	s.nc = normCtx{} // drop the caller's maps: s may go back to a pool
 	if err != nil {
@@ -103,40 +101,99 @@ func (s *Scratch) normalizeInto(ctx context.Context, grid *CellGrid, cfg Config,
 
 // normCtx is the shared state of one block-normalization fan-out.
 type normCtx struct {
-	grid    *CellGrid
-	fm      *FeatureMap
-	perCell bool
+	grid *CellGrid
+	fm   *FeatureMap
 }
 
-// rowJob assembles and normalizes block row y.
+// rowJob assembles and normalizes block row y. Under L2 and L2Hys the
+// blocks go through normalize4 four at a time, each group as soon as its
+// last block is assembled; the last BlocksX%4 blocks, and every L1Sqrt
+// block, go through normalizeBlock.
 func (nc *normCtx) rowJob(y int) error {
 	grid, fm := nc.grid, nc.fm
 	cfg := &fm.Cfg
 	bins, bx, blockLen := cfg.Bins, fm.BlocksX, fm.BlockLen
 	maxCX, maxCY := grid.CellsX-1, grid.CellsY-1
+	quads := 0 // blocks normalized in groups of four
+	if cfg.Norm == L2 || cfg.Norm == L2Hys {
+		quads = bx &^ 3
+	}
+	run := cfg.BlockCells * bins // one cell row of a block
 	for x := 0; x < bx; x++ {
 		dst := fm.Feat[(y*bx+x)*blockLen : (y*bx+x+1)*blockLen]
-		// Gather the BlockCells x BlockCells cell histograms.
-		k := 0
+		// Gather the BlockCells x BlockCells cell histograms. Per-cell edge
+		// blocks replicate the border cells (overlap blocks never reach
+		// past the grid). A block's cells in one cell row lie side by
+		// side in the grid, so an unclamped row is one copy.
 		for cy := 0; cy < cfg.BlockCells; cy++ {
+			gy := min(y+cy, maxCY)
+			row := dst[cy*run : (cy+1)*run]
+			if x+cfg.BlockCells-1 <= maxCX {
+				copy(row, grid.Hist[(gy*grid.CellsX+x)*bins:])
+				continue
+			}
 			for cx := 0; cx < cfg.BlockCells; cx++ {
-				gx, gy := x+cx, y+cy
-				if nc.perCell {
-					// Edge blocks replicate the border cells.
-					if gx > maxCX {
-						gx = maxCX
-					}
-					if gy > maxCY {
-						gy = maxCY
-					}
-				}
-				copy(dst[k:k+bins], grid.At(gx, gy))
-				k += bins
+				copy(row[cx*bins:(cx+1)*bins], grid.At(min(x+cx, maxCX), gy))
 			}
 		}
-		normalizeBlock(dst, *cfg)
+		switch {
+		case x >= quads:
+			normalizeBlock(dst, *cfg)
+		case x&3 == 3:
+			q := fm.Feat[(y*bx+x-3)*blockLen : (y*bx+x+1)*blockLen]
+			normalize4(q[:blockLen], q[blockLen:2*blockLen], q[2*blockLen:3*blockLen], q[3*blockLen:], cfg)
+		}
 	}
 	return nil
+}
+
+// normalize4 is normalizeBlock under L2 or L2Hys for four blocks of equal
+// length at once. Each block keeps its own sums, taken in normalizeBlock's
+// order with its operations, so every output bit is normalizeBlock's; the
+// four independent chains of adds overlap where one block's serial sum
+// would wait on each add. The L2Hys clip is min(v, HysClip), which equals
+// normalizeBlock's if v > HysClip for the non-NaN clip Validate demands and
+// takes no branch, and it is fused with the scaling before it and the sum
+// after it, which read and write each element in the same order.
+func normalize4(v0, v1, v2, v3 []float64, cfg *Config) {
+	v1, v2, v3 = v1[:len(v0)], v2[:len(v0)], v3[:len(v0)]
+	var s0, s1, s2, s3 float64
+	for i := range v0 {
+		s0 += v0[i] * v0[i]
+		s1 += v1[i] * v1[i]
+		s2 += v2[i] * v2[i]
+		s3 += v3[i] * v3[i]
+	}
+	e2 := cfg.Epsilon * cfg.Epsilon
+	i0 := 1 / math.Sqrt(s0+e2)
+	i1 := 1 / math.Sqrt(s1+e2)
+	i2 := 1 / math.Sqrt(s2+e2)
+	i3 := 1 / math.Sqrt(s3+e2)
+	if cfg.Norm == L2Hys {
+		clip := cfg.HysClip
+		s0, s1, s2, s3 = 0, 0, 0, 0
+		for i := range v0 {
+			a0 := min(v0[i]*i0, clip)
+			a1 := min(v1[i]*i1, clip)
+			a2 := min(v2[i]*i2, clip)
+			a3 := min(v3[i]*i3, clip)
+			v0[i], v1[i], v2[i], v3[i] = a0, a1, a2, a3
+			s0 += a0 * a0
+			s1 += a1 * a1
+			s2 += a2 * a2
+			s3 += a3 * a3
+		}
+		i0 = 1 / math.Sqrt(s0+e2)
+		i1 = 1 / math.Sqrt(s1+e2)
+		i2 = 1 / math.Sqrt(s2+e2)
+		i3 = 1 / math.Sqrt(s3+e2)
+	}
+	for i := range v0 {
+		v0[i] *= i0
+		v1[i] *= i1
+		v2[i] *= i2
+		v3[i] *= i3
+	}
 }
 
 // normalizeBlock applies the configured normalization to one block vector

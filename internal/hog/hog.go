@@ -24,6 +24,7 @@ package hog
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/imgproc"
 )
@@ -123,11 +124,18 @@ func (c Config) Validate() error {
 	if c.Bins < 2 {
 		return fmt.Errorf("hog: %d bins too few", c.Bins)
 	}
-	if c.HysClip <= 0 {
-		return fmt.Errorf("hog: non-positive hys clip %g", c.HysClip)
+	// The negated comparisons also catch NaN, for which every comparison
+	// is false.
+	if !(c.HysClip > 0) {
+		return fmt.Errorf("hog: hys clip %g not positive", c.HysClip)
 	}
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("hog: non-positive epsilon %g", c.Epsilon)
+	if !(c.Epsilon > 0) || math.IsInf(c.Epsilon, 1) {
+		return fmt.Errorf("hog: epsilon %g not positive and finite", c.Epsilon)
+	}
+	switch c.Norm {
+	case L2Hys, L2, L1Sqrt:
+	default:
+		return fmt.Errorf("hog: unknown norm %v", c.Norm)
 	}
 	return nil
 }

@@ -1,8 +1,10 @@
 package hog
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -38,6 +40,12 @@ func TestConfigValidate(t *testing.T) {
 		{CellSize: 8, BlockCells: 2, Bins: 1, HysClip: 0.2, Epsilon: 1e-3},
 		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0, Epsilon: 1e-3},
 		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: 0},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: math.NaN()},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: math.Inf(1)},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: math.Inf(-1)},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: math.NaN(), Epsilon: 1e-3},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: 1e-3, Norm: Norm(7)},
+		{CellSize: 8, BlockCells: 2, Bins: 9, HysClip: 0.2, Epsilon: 1e-3, Norm: Norm(-1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -245,6 +253,104 @@ func TestNormalizeBlockNormBounds(t *testing.T) {
 			}
 			if n := math.Sqrt(ss); n > 1+1e-9 {
 				t.Fatalf("block (%d,%d) norm %v > 1", bx, by, n)
+			}
+		}
+	}
+}
+
+// refNormalize is the block map of grid under cfg built one block at a
+// time: each block gathered from its cells (clamped at the frame edge in
+// the per-cell layout) and normalized by normalizeBlock, the reference the
+// four-block normalizer must match bit for bit.
+func refNormalize(grid *CellGrid, cfg Config) []float64 {
+	bx, by := grid.CellsX-cfg.BlockCells+1, grid.CellsY-cfg.BlockCells+1
+	if cfg.Layout == LayoutPerCell {
+		bx, by = grid.CellsX, grid.CellsY
+	}
+	var out []float64
+	for y := 0; y < by; y++ {
+		for x := 0; x < bx; x++ {
+			var b []float64
+			for cy := 0; cy < cfg.BlockCells; cy++ {
+				for cx := 0; cx < cfg.BlockCells; cx++ {
+					b = append(b, grid.At(min(x+cx, grid.CellsX-1), min(y+cy, grid.CellsY-1))...)
+				}
+			}
+			normalizeBlock(b, cfg)
+			out = append(out, b...)
+		}
+	}
+	return out
+}
+
+// TestNormalizeMatchesNormalizeBlock pins NormalizeInto, which normalizes
+// L2 and L2Hys blocks four at a time, to per-block normalizeBlock bit for
+// bit: in both layouts and all three norms, on rows of 8 to 12 blocks (so
+// BlocksX%4 takes every value), with all-zero blocks, with features
+// exactly at HysClip and above it, at workers 1 and 3.
+func TestNormalizeMatchesNormalizeBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	grids := map[string]func(cx, cy int) *CellGrid{
+		"random": func(cx, cy int) *CellGrid {
+			g := &CellGrid{CellsX: cx, CellsY: cy, Bins: 9, Hist: make([]float64, cx*cy*9)}
+			for i := range g.Hist {
+				if c := i / 9; c%cx < 3 && c/cx < 2 {
+					continue // a corner of empty cells: all-zero blocks
+				}
+				if rng.Intn(4) != 0 {
+					g.Hist[i] = rng.Float64() * 40
+				}
+			}
+			return g
+		},
+		// Every block is the same, so the clips below land exactly on
+		// its features.
+		"constant": func(cx, cy int) *CellGrid {
+			g := &CellGrid{CellsX: cx, CellsY: cy, Bins: 9, Hist: make([]float64, cx*cy*9)}
+			for i := range g.Hist {
+				g.Hist[i] = float64(i%9*i%9 + 1)
+			}
+			return g
+		},
+	}
+	for gname, mk := range grids {
+		for cx := 9; cx <= 13; cx++ {
+			grid := mk(cx, 5)
+			for _, layout := range []Layout{LayoutOverlap, LayoutPerCell} {
+				for _, norm := range []Norm{L2Hys, L2, L1Sqrt} {
+					cfg := DefaultConfig()
+					cfg.Layout, cfg.Norm = layout, norm
+					clips := []float64{cfg.HysClip}
+					if gname == "constant" {
+						// The largest and second-largest L2-normalized
+						// features: ties at the clip, and features above it.
+						l2 := cfg
+						l2.Norm = L2
+						b := refNormalize(grid, l2)[:cfg.BlockLen()]
+						slices.Sort(b)
+						b = slices.Compact(b)
+						clips = []float64{b[len(b)-1], b[len(b)-2]}
+					}
+					for _, clip := range clips {
+						cfg.HysClip = clip
+						want := refNormalize(grid, cfg)
+						for _, workers := range []int{1, 3} {
+							var fm FeatureMap
+							if err := NormalizeInto(grid, cfg, &fm, workers); err != nil {
+								t.Fatal(err)
+							}
+							label := fmt.Sprintf("%s %d cells layout=%v norm=%v clip=%v workers=%d", gname, cx, layout, norm, clip, workers)
+							if len(fm.Feat) != len(want) {
+								t.Fatalf("%s: %d features, want %d", label, len(fm.Feat), len(want))
+							}
+							for i := range want {
+								if math.Float64bits(fm.Feat[i]) != math.Float64bits(want[i]) {
+									t.Fatalf("%s: feat[%d] = %.17g, normalizeBlock %.17g", label, i, fm.Feat[i], want[i])
+								}
+							}
+						}
+					}
+				}
 			}
 		}
 	}

@@ -1,12 +1,10 @@
 package hog
 
+import "repro/internal/cpu"
+
 // haveSpanKernel reports whether the CPU has AVX2 and the OS saves the YMM
 // registers, so dotRows8 may run.
-var haveSpanKernel = cpuHasAVX2()
-
-// cpuHasAVX2 checks CPUID for AVX and AVX2 and XGETBV for OS-enabled
-// XMM+YMM state. Implemented in span_amd64.s.
-func cpuHasAVX2() bool
+var haveSpanKernel = cpu.AVX2
 
 // dotRows8 computes, for the eight windows whose block rows start at
 // f+offs[0], ..., f+offs[7] (offsets in elements), the four-lane partial
