@@ -70,19 +70,8 @@ func main() {
 	if *cascadeCal {
 		cfg.Cascade = core.CascadeCalibrated
 	}
-	switch *mode {
-	case "image":
-		cfg.Mode = core.ImagePyramid
-	case "feature":
-		cfg.Mode = core.FeaturePyramid
-	case "chained":
-		cfg.Mode = core.FeaturePyramidChained
-	case "fixed":
-		cfg.Mode = core.FeaturePyramidFixed
-	case "octave":
-		cfg.Mode = core.OctavePyramid
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	if cfg.Mode, err = core.ParsePyramidMode(*mode); err != nil {
+		log.Fatal(err)
 	}
 	det, err := core.NewDetector(model, cfg)
 	if err != nil {

@@ -39,7 +39,7 @@ func main() {
 	var (
 		modelPath = flag.String("model", "pedestrian.model", "trained model file")
 		addr      = flag.String("addr", ":8080", "listen address")
-		mode      = flag.String("mode", "feature", "pyramid mode: image, feature, chained, fixed")
+		mode      = flag.String("mode", "feature", "pyramid mode: image, feature, chained, fixed, octave")
 		step      = flag.Float64("step", 1.1, "pyramid scale step")
 		threshold = flag.Float64("threshold", 0, "SVM decision threshold")
 		nms       = flag.Float64("nms", 0.3, "NMS IoU (<= 0 disables)")
@@ -79,17 +79,8 @@ func main() {
 	if *cascadeCal {
 		cfg.Cascade = core.CascadeCalibrated
 	}
-	switch *mode {
-	case "image":
-		cfg.Mode = core.ImagePyramid
-	case "feature":
-		cfg.Mode = core.FeaturePyramid
-	case "chained":
-		cfg.Mode = core.FeaturePyramidChained
-	case "fixed":
-		cfg.Mode = core.FeaturePyramidFixed
-	default:
-		log.Fatalf("unknown mode %q", *mode)
+	if cfg.Mode, err = core.ParsePyramidMode(*mode); err != nil {
+		log.Fatal(err)
 	}
 
 	// One shared metrics registry: every worker pipeline records into it

@@ -30,6 +30,16 @@ import (
 // scratch: over 16 runs under -race the mode measured 7-22 allocations per
 // frame against 5-18 in feature mode, so its budget is 40, still far below
 // one network set per level.
+//
+// The image and octave pyramids measure 1 alloc per frame too: their
+// octaves are resized and extracted into the arena's lanes (one resize
+// buffer and HOG scratch per extraction goroutine) and copied into the
+// level store, which is sized from the level plan before any octave is
+// built. The image pyramid used to resize and extract every level into
+// fresh buffers, ~45 allocations per 320x240 frame. A frame after a
+// dropped put regrows the lanes as well, ~49 allocations in image mode and
+// ~33 in octave mode, so their budget of 40 holds unless 16 of 20 puts
+// drop, as in feature mode.
 func TestDetectAllocs(t *testing.T) {
 	for _, c := range []struct {
 		mode   PyramidMode
@@ -37,6 +47,8 @@ func TestDetectAllocs(t *testing.T) {
 	}{
 		{FeaturePyramid, 20},
 		{FeaturePyramidFixed, 40},
+		{ImagePyramid, 40},
+		{OctavePyramid, 40},
 	} {
 		t.Run(c.mode.String(), func(t *testing.T) {
 			cfg := DefaultConfig()
@@ -131,20 +143,25 @@ func TestDetectAllocsMetricsOn(t *testing.T) {
 // state and worker closure of each parallel one. Neither grows with the
 // frame's area or the pyramid's depth; an allocation per level, per scan
 // chunk or per window would add tens to thousands a frame, and a level or
-// base-map copy megabytes. The octave pyramid runs the same way: its
-// octaves 2, 4, ... are resized and extracted into the arena's second
-// frame buffer and HOG scratch, and its levels are planned before any is
-// built, so the level store is sized on the first frame.
+// base-map copy megabytes. The image and octave pyramids run the same way:
+// their octaves are resized and extracted into the arena's lanes, one
+// resize buffer and HOG scratch per extraction goroutine, and their levels
+// are planned before any is built, so the level store is sized on the
+// first frame.
 //
 // Measured 1 alloc and 112 B per frame at workers=1, 11 allocs and
-// 0.7-1.7 KB at workers=2, and 1 alloc and 112 B in octave mode. Under
-// -race, sync.Pool drops a quarter of all Puts on purpose, and the frame
-// after a drop regrows the whole scratch: 26 more allocations (a constant;
-// presized, not per level) and ~70 MB, ~49 more in octave mode, whose
-// second HOG scratch and level plan regrow too. The alloc budgets of 32, 48
-// and 56 hold even if every measured frame follows a drop; the bytes are
-// averaged over the frames whose arena checkout hit the pool, so the 1 KB
-// and 4 KB budgets pin the steady state either way.
+// 0.7-1.7 KB at workers=2, 1 alloc and 112 B in octave mode, and in image
+// mode 1 alloc and 112 B at workers=1 and 11 allocs and 672 B at workers=2
+// (it was 127 allocs and ~12 MB per frame when every level was resized and
+// extracted into fresh buffers). Under -race, sync.Pool drops a quarter of
+// all Puts on purpose, and the frame after a drop regrows the whole
+// scratch: 26 more allocations (a constant; presized, not per level) and
+// ~70 MB, ~49 more in octave mode and image mode at workers=1, whose lane
+// and level plan regrow too, and ~65 more in image mode at workers=2, with
+// two lanes. The alloc budgets of 32, 48, 56, 56 and 80 hold even if every
+// measured frame follows a drop; the bytes are averaged over the frames
+// whose arena checkout hit the pool, so the 1 KB and 4 KB budgets pin the
+// steady state either way.
 func TestDetectAllocs1080p(t *testing.T) {
 	frame := imgproc.NewGray(1920, 1080)
 	rng := rand.New(rand.NewSource(7))
@@ -159,6 +176,8 @@ func TestDetectAllocs1080p(t *testing.T) {
 		{FeaturePyramid, 1, 32, 1 << 10},
 		{FeaturePyramid, 2, 48, 4 << 10},
 		{OctavePyramid, 1, 56, 4 << 10},
+		{ImagePyramid, 1, 56, 4 << 10},
+		{ImagePyramid, 2, 80, 4 << 10},
 	} {
 		cfg := DefaultConfig()
 		cfg.Mode = c.mode

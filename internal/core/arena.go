@@ -7,7 +7,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/featpyr"
 	"repro/internal/hog"
-	"repro/internal/imgproc"
 )
 
 // Arena pools the per-frame scratch behind the detect path: the HOG front
@@ -73,12 +72,11 @@ func (a *Arena) put(fs *frameScratch) {
 type frameScratch struct {
 	hog *hog.Scratch
 	pyr featpyr.Pyramid
-	// octPlan, octFrame and oct are the octave pyramid's level plan,
-	// resized frame and HOG scratch, the latter two reused by octaves 2,
-	// 4, ... in turn; oct is built on the first octave-mode frame.
-	octPlan  []octaveLevel
-	octFrame imgproc.Gray
-	oct      *hog.Scratch
+	// octPlan is the image or octave pyramid's level plan, and ext the
+	// fan-out that extracts its octaves >= 1, with one lane of buffers
+	// per extraction goroutine, grown on the first frame that needs it.
+	octPlan []octaveLevel
+	ext     octaveFanOut
 	// levels are the levels to scan, finest first, after SkipFinest.
 	levels []pyrLevel
 	// rows, shards and outs are the scan's per-level window-row counts,

@@ -3,11 +3,13 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
 	"repro/internal/imgproc"
+	"repro/internal/rt/faultinject"
 	"repro/internal/svm"
 )
 
@@ -157,27 +159,53 @@ func TestDetectRawDeadlineCutsLongScan(t *testing.T) {
 	}
 }
 
-// TestImagePyramidWorkerPanicBecomesError: in image-pyramid mode the
-// per-level HOG extraction runs on pool goroutines; a poison frame (pixel
-// buffer shorter than the header claims) must surface as an error from the
-// recovered worker, not crash the process.
-func TestImagePyramidWorkerPanicBecomesError(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Mode = ImagePyramid
-	cfg.ScaleStep = 1.3
-	cfg.Workers = 4
-	model := &svm.Model{W: make([]float64, cfg.DescriptorLen()), B: 1}
-	d, err := NewDetector(model, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestPoisonFramePanicsInEveryMode: a frame whose pixel buffer is shorter
+// than its header claims must panic on the calling goroutine in every
+// mode, at every worker count and whether or not the finest levels (and so
+// the full-frame HOG) are shed, for the streaming runtime to turn into a
+// per-frame PanicError. That holds for a slice cut short within its
+// capacity, which a reslice by the claimed size would not catch and the
+// scan would read stale bytes from, as for a buffer truncated outright.
+// The detector stays usable afterwards.
+func TestPoisonFramePanicsInEveryMode(t *testing.T) {
 	good := imgproc.NewGray(160, 320)
-	poison := &imgproc.Gray{W: good.W, H: good.H, Pix: good.Pix[:len(good.Pix)/2]}
-	if _, err := d.DetectRaw(poison); err == nil {
-		t.Fatal("poison frame scanned without error in image-pyramid mode")
+	poisons := []struct {
+		name  string
+		frame *imgproc.Gray
+	}{
+		{"cap-intact", &imgproc.Gray{W: good.W, H: good.H, Pix: good.Pix[:len(good.Pix)/2]}},
+		{"truncated", faultinject.TruncatePix(good, len(good.Pix)/2)},
 	}
-	// The detector remains usable afterwards.
-	if _, err := d.DetectRaw(good); err != nil {
-		t.Fatalf("detector dead after poison frame: %v", err)
+	for _, m := range cancelModes {
+		for _, workers := range []int{1, 4} {
+			for _, skip := range []int{0, 1} {
+				for _, p := range poisons {
+					t.Run(fmt.Sprintf("%s/workers=%d/skip=%d/%s", m.name, workers, skip, p.name), func(t *testing.T) {
+						cfg := DefaultConfig()
+						cfg.Mode = m.mode
+						cfg.ScaleStep = 1.3
+						cfg.Workers = workers
+						cfg.SkipFinest = skip
+						model := &svm.Model{W: make([]float64, cfg.DescriptorLen()), B: 1}
+						d, err := NewDetector(model, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						func() {
+							defer func() {
+								if recover() == nil {
+									t.Error("poison frame did not panic")
+								}
+							}()
+							_, err := d.DetectRaw(p.frame)
+							t.Errorf("poison frame returned (err %v)", err)
+						}()
+						if _, err := d.DetectRaw(good); err != nil {
+							t.Fatalf("detector dead after poison frame: %v", err)
+						}
+					})
+				}
+			}
+		}
 	}
 }

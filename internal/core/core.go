@@ -12,6 +12,7 @@ import (
 	"math"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/eval"
@@ -29,7 +30,8 @@ type PyramidMode int
 
 const (
 	// ImagePyramid is the conventional method: the frame is resized per
-	// scale and HOG features are recomputed at every level.
+	// scale and HOG features are recomputed at every level. It is built
+	// as the OctavePyramid whose octaves are one ScaleStep apart.
 	ImagePyramid PyramidMode = iota
 	// FeaturePyramid is the paper's method: HOG features are extracted
 	// once at native scale and the normalized feature map is down-sampled
@@ -67,6 +69,17 @@ func (m PyramidMode) String() string {
 	return fmt.Sprintf("PyramidMode(%d)", int(m))
 }
 
+// ParsePyramidMode returns the mode of a short name, as the command-line
+// tools' -mode flags take it: image, feature, chained, fixed or octave.
+func ParsePyramidMode(name string) (PyramidMode, error) {
+	for m, short := range [...]string{"image", "feature", "chained", "fixed", "octave"} { // in mode order
+		if name == short {
+			return PyramidMode(m), nil
+		}
+	}
+	return 0, fmt.Errorf("core: unknown pyramid mode %q (want image, feature, chained, fixed or octave)", name)
+}
+
 // Config holds the detector parameters. Use DefaultConfig as a baseline.
 type Config struct {
 	HOG     hog.Config
@@ -74,7 +87,8 @@ type Config struct {
 	WindowH int // detection window height in pixels (128)
 	// ScaleStep is the pyramid ratio between adjacent scales (1.1).
 	ScaleStep float64
-	// MaxScales caps the number of pyramid levels; 0 means as many as fit.
+	// MaxScales caps the number of pyramid levels; 0 (or less) means as
+	// many as fit.
 	// The paper's hardware uses 2 (memory-limited, Section 5).
 	MaxScales int
 	// Mode selects how the pyramid levels are built (see PyramidMode).
@@ -85,7 +99,8 @@ type Config struct {
 	// NMSOverlap is the IoU above which overlapping detections are
 	// suppressed; <= 0 disables NMS.
 	NMSOverlap float64
-	// Interp is the resampling kernel for the image pyramid.
+	// Interp is the resampling kernel of the frame resizes of the image
+	// and octave pyramids.
 	Interp imgproc.Interp
 	// Scale configures the float feature scaler; its Lambda is also the
 	// OctavePyramid channel correction.
@@ -327,55 +342,10 @@ type pyrLevel struct {
 	spans []anchorSpan
 }
 
-// maxLevels returns the level cap handed to the pyramid builders.
-func (d *Detector) maxLevels() int {
-	if d.cfg.MaxScales > 0 {
-		return d.cfg.MaxScales
-	}
-	return 0 // unlimited, bounded by window fit
-}
-
-// levelSize is one planned image-pyramid level: its absolute index and the
-// rounded pixel dimensions (the same rounding as imgproc.Pyramid).
-type levelSize struct {
-	index int
-	w, h  int
-}
-
-// pyramidSizes enumerates the image-pyramid level geometries for the frame:
-// level i is the frame divided by ScaleStep^i, stopping when the detection
-// window no longer fits or after maxLevels levels.
-func (d *Detector) pyramidSizes(frameW, frameH int) []levelSize {
-	maxL := d.maxLevels()
-	if maxL <= 0 {
-		maxL = math.MaxInt32
-	}
-	var out []levelSize
-	for i := 0; i < maxL; i++ {
-		f := math.Pow(d.cfg.ScaleStep, float64(i))
-		w := int(math.Round(float64(frameW) / f))
-		h := int(math.Round(float64(frameH) / f))
-		if w < d.cfg.WindowW || h < d.cfg.WindowH {
-			break
-		}
-		out = append(out, levelSize{index: i, w: w, h: h})
-	}
-	return out
-}
-
 // skipFinest resolves the effective number of finest levels to shed for a
 // pyramid of n levels: the configured count, clamped so that at least the
 // coarsest level survives.
-func (d *Detector) skipFinest(n int) int {
-	skip := d.cfg.SkipFinest
-	if skip >= n {
-		skip = n - 1
-	}
-	if skip < 0 {
-		skip = 0
-	}
-	return skip
-}
+func (d *Detector) skipFinest(n int) int { return max(min(d.cfg.SkipFinest, n-1), 0) }
 
 // buildLevels checks a scratch out of the arena and builds the pyramid of
 // the configured mode into it: fs.levels are the levels to scan, with
@@ -395,42 +365,59 @@ func (d *Detector) buildLevels(ctx context.Context, frame *imgproc.Gray) (*frame
 
 // fillLevels is buildLevels on a checked-out scratch.
 func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *frameScratch) error {
+	// A pixel buffer shorter than its header panics here, on the calling
+	// goroutine, in every mode and at every worker count (the streaming
+	// runtime reports a PanicError), not in a pool worker, or not at all.
+	if len(frame.Pix) < frame.W*frame.H {
+		panic(fmt.Sprintf("core: frame %dx%d has %d of its %d pixels", frame.W, frame.H, len(frame.Pix), frame.W*frame.H))
+	}
 	workers := d.cfg.workers()
-	if d.cfg.Mode == ImagePyramid {
-		return d.imageLevels(ctx, frame, fs, workers)
+	extracted := d.cfg.Mode == ImagePyramid || d.cfg.Mode == OctavePyramid
+	skip := 0
+	if extracted {
+		fs.octPlan = d.planLevels(frame.W, frame.H, fs.octPlan[:0])
+		if len(fs.octPlan) == 0 {
+			return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
+		}
+		skip = d.skipFinest(len(fs.octPlan))
 	}
 	// The base extraction runs through the arena's scratch: the fused front
 	// end writes the luminance plane, cell grid, and base feature map into
-	// reusable buffers, and every feature pyramid scans that base map in
-	// place as its level 0.
-	fs.hog.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
-	base, err := hog.ComputeInto(ctx, frame, d.cfg.HOG, fs.hog, workers)
-	if err != nil {
-		return err
+	// reusable buffers, and every pyramid scans that base map in place as
+	// its level 0. An extracted-level pyramid whose kept levels all read
+	// coarser octaves skips it.
+	var base *hog.FeatureMap
+	if !extracted || fs.octPlan[skip].octave == 0 {
+		fs.hog.Metrics = d.cfg.Metrics // cells/normalize stage timings; cleared on put
+		var err error
+		if base, err = hog.ComputeInto(ctx, frame, d.cfg.HOG, fs.hog, workers); err != nil {
+			return err
+		}
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	wbx, wby := d.cfg.windowBlocks()
 	pt0 := time.Now()
+	var err error
 	switch d.cfg.Mode {
-	case OctavePyramid:
-		err = d.octaveLevels(ctx, frame, base, fs, workers)
+	case ImagePyramid, OctavePyramid:
+		err = d.extractLevels(ctx, frame, base, fs, skip, workers)
 	case FeaturePyramid:
-		err = fs.pyr.Build(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.SkipFinest, d.cfg.Scale, workers)
+		err = fs.pyr.Build(ctx, base, d.cfg.ScaleStep, wbx, wby, d.cfg.MaxScales, d.cfg.SkipFinest, d.cfg.Scale, workers)
 	case FeaturePyramidChained:
-		err = fs.pyr.BuildChained(ctx, base, d.cfg.ScaleStep, wbx, wby, d.maxLevels(), d.cfg.Scale, workers)
+		err = fs.pyr.BuildChained(ctx, base, d.cfg.ScaleStep, wbx, wby, d.cfg.MaxScales, d.cfg.Scale, workers)
 	case FeaturePyramidFixed:
-		err = d.fixedLevels(ctx, frame, base, fs)
+		err = fs.pyr.BuildFixed(ctx, base, d.cfg.ScaleStep, wbx, wby, d.cfg.MaxScales, d.cfg.Fixed, d.cfg.Metrics.LevelTimer())
 	default:
 		return fmt.Errorf("core: unknown pyramid mode %v", d.cfg.Mode)
 	}
 	if err != nil {
 		return err
 	}
-	if d.cfg.Mode != OctavePyramid {
+	if !extracted {
 		// The direct build has not resampled the shed levels at all (nor
-		// has octaveLevels, which sheds its own); the chained and fixed
+		// has extractLevels, which sheds its own); the chained and fixed
 		// builds resample them to chain through them. Absolute indices are
 		// kept so LevelProbe still addresses the original scale ladder.
 		skip := d.skipFinest(len(fs.pyr.Levels))
@@ -451,97 +438,12 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 	return nil
 }
 
-// imageLevels builds the ImagePyramid levels into fs: every level resizes
-// the frame and extracts HOG afresh, one level per job on up to workers
-// goroutines. Levels are shed before any work is done, so both the resize
-// and the extraction of a skipped level are saved.
-//
-// The whole per-level resize+extract fan-out books under StagePyramid: the
-// parallel jobs compute HOG through pooled scratches that cannot share the
-// frame's single-threaded stage recorder, so image-pyramid mode does not
-// split out hog_cells / hog_norm the way the feature modes do.
-func (d *Detector) imageLevels(ctx context.Context, frame *imgproc.Gray, fs *frameScratch, workers int) error {
-	sizes := d.pyramidSizes(frame.W, frame.H)
-	if len(sizes) == 0 {
-		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
-	}
-	sizes = sizes[d.skipFinest(len(sizes)):]
-	t0 := time.Now()
-	fs.levels = append(fs.levels[:0], make([]pyrLevel, len(sizes))...)
-	levels := fs.levels
-	err := par.Do(ctx, len(sizes), workers, func(i int) error {
-		s := sizes[i]
-		img := imgproc.Resize(frame, s.w, s.h, d.cfg.Interp)
-		fm, err := hog.Compute(img, d.cfg.HOG)
-		if err != nil {
-			return fmt.Errorf("core: level %d: %w", s.index, err)
-		}
-		// The exact per-axis scale of this level (sizes are rounded per
-		// level, separately in X and Y).
-		levels[i] = pyrLevel{
-			fm:    fm,
-			sx:    float64(frame.W) / float64(img.W),
-			sy:    float64(frame.H) / float64(img.H),
-			index: s.index,
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	d.cfg.Metrics.Observe(obs.StagePyramid, time.Since(t0))
-	return nil
-}
-
-// defaultFixed is the scaler of every configuration with a nil Fixed, shared
-// so that its phase networks are built once per process, not per frame.
-var defaultFixed = featpyr.NewFixedScaler()
-
-// fixedLevels builds the FeaturePyramidFixed levels into fs.pyr: the
-// chained pyramid of the bit-accurate shift-and-add scaler, each level
-// written into the pyramid's reusable store, level 0 the base map itself.
-func (d *Detector) fixedLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch) error {
-	wbx, wby := d.cfg.windowBlocks()
-	if base.BlocksX < wbx || base.BlocksY < wby {
-		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
-	}
-	scaler := d.cfg.Fixed
-	if scaler == nil {
-		scaler = defaultFixed
-	}
-	p := &fs.pyr
-	p.Reset()
-	p.Levels = append(p.Levels, featpyr.Level{Scale: 1, Map: base})
-	prev := base
-	for i := 1; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
-		// Termination is decided on the target grid before scaling (same
-		// rounding as ScaleMapBy): a level too small for the window ends
-		// the pyramid, while a scaler failure on a viable level is a real
-		// error and is returned, not swallowed as silent truncation.
-		outBX := int(math.Round(float64(prev.BlocksX) / d.cfg.ScaleStep))
-		outBY := int(math.Round(float64(prev.BlocksY) / d.cfg.ScaleStep))
-		if outBX < wbx || outBY < wby {
-			break
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		lt0 := time.Now()
-		m := p.Map(outBX, outBY, prev)
-		if _, err := scaler.ScaleInto(m, prev, float64(prev.BlocksX)/float64(outBX), float64(prev.BlocksY)/float64(outBY)); err != nil {
-			return fmt.Errorf("core: fixed scaler level %d: %w", i, err)
-		}
-		d.cfg.Metrics.ObserveLevel(time.Since(lt0))
-		p.Levels = append(p.Levels, featpyr.Level{Scale: p.Levels[i-1].Scale * d.cfg.ScaleStep, Map: m})
-		prev = m
-	}
-	return nil
-}
-
-// octaveLevel is one planned OctavePyramid level: the octave it is drawn
-// from (0 is the base map; octave o > 0 is the frame resized by 2^o to
-// w x h, with the exact per-axis frame scales sx, sy and block grid
-// bx x by) and the factor rel and grid outBX x outBY it is resampled to.
+// octaveLevel is one planned level of an extracted-level pyramid
+// (ImagePyramid, OctavePyramid): the octave it is drawn from (0 is the
+// base map; octave o > 0 is the frame resized to w x h, with the exact
+// per-axis frame scales sx, sy and block grid bx x by) and the factor rel
+// and grid outBX x outBY it is resampled to. Every image-pyramid level is
+// an octave of its own, at rel 1.
 type octaveLevel struct {
 	octave       int
 	w, h, bx, by int
@@ -550,29 +452,43 @@ type octaveLevel struct {
 	outBX, outBY int
 }
 
-// planOctaves appends the OctavePyramid's levels to plan, without
-// extracting any octave: level i covers frame scale ScaleStep^i and draws
-// from the nearest octave at or below it whose image and block grid still
-// fit the window.
-func (d *Detector) planOctaves(frame *imgproc.Gray, base *hog.FeatureMap, plan []octaveLevel) []octaveLevel {
+// planLevels appends the levels of the image or octave pyramid of a
+// frameW x frameH frame to plan, without extracting anything: level i
+// covers frame scale ScaleStep^i and draws from the nearest octave at or
+// below it whose image and block grid still fit the window. Octave o sits
+// at frame scale ScaleStep^o in image mode, so every level is its own
+// octave and the ladder ends with the last octave that fits, and at 2^o
+// in octave mode, whose levels past the last octave resample it until the
+// window no longer fits. Block grids follow hog's arithmetic, so the plan
+// tells, before any extraction, whether a kept level reads the base map.
+func (d *Detector) planLevels(frameW, frameH int, plan []octaveLevel) []octaveLevel {
 	wbx, wby := d.cfg.windowBlocks()
-	oct := octaveLevel{w: frame.W, h: frame.H, bx: base.BlocksX, by: base.BlocksY, sx: 1, sy: 1}
-	octScale := 1.0
-	lastOctave := false
-	for i := 0; d.cfg.MaxScales == 0 || i < d.cfg.MaxScales; i++ {
+	octStep := 2.0
+	if d.cfg.Mode == ImagePyramid {
+		octStep = d.cfg.ScaleStep
+	}
+	var oct octaveLevel
+	octaves, octScale, lastOctave := 0, 1.0, false
+	for i := 0; d.cfg.MaxScales <= 0 || i < d.cfg.MaxScales; i++ {
 		scale := math.Pow(d.cfg.ScaleStep, float64(i))
-		for !lastOctave && 2*octScale <= scale {
-			next := 2 * octScale
-			w := int(math.Round(float64(frame.W) / next))
-			h := int(math.Round(float64(frame.H) / next))
+		for !lastOctave {
+			next := math.Pow(octStep, float64(octaves))
+			if next > scale {
+				break
+			}
+			w := int(math.Round(float64(frameW) / next))
+			h := int(math.Round(float64(frameH) / next))
 			bx, by := d.cfg.HOG.WindowBlocks(d.cfg.HOG.WindowCells(w, h))
 			if w < d.cfg.WindowW || h < d.cfg.WindowH || bx < wbx || by < wby {
 				lastOctave = true
 				break
 			}
-			octScale = next
-			oct = octaveLevel{octave: oct.octave + 1, w: w, h: h, bx: bx, by: by,
-				sx: float64(frame.W) / float64(w), sy: float64(frame.H) / float64(h)}
+			oct = octaveLevel{octave: octaves, w: w, h: h, bx: bx, by: by,
+				sx: float64(frameW) / float64(w), sy: float64(frameH) / float64(h)}
+			octaves, octScale = octaves+1, next
+		}
+		if octaves == 0 || (lastOctave && d.cfg.Mode == ImagePyramid) {
+			break
 		}
 		l := oct
 		l.rel = scale / octScale
@@ -586,61 +502,55 @@ func (d *Detector) planOctaves(frame *imgproc.Gray, base *hog.FeatureMap, plan [
 	return plan
 }
 
-// octaveLevels builds the OctavePyramid levels into fs.levels on the base
-// map the arena scratch extracted from the frame, which serves as octave 1
-// and is scanned in place. The levels are planned first (planOctaves), so
-// the levels SkipFinest sheds are never built and the scratch's level store
-// is sized for the rest before any is. Octaves 2, 4, ... are extracted from
-// resized frames as the kept levels reach them, all through one reused
-// frame buffer and HOG scratch of the arena's. Each level resamples its
-// octave by the remaining factor with Config.Scale into the level store,
-// its rows on up to workers goroutines (the identity factor scans the base
-// map itself, or a copy of a coarser octave's: the next octave reuses the
-// HOG scratch).
-func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch, workers int) error {
-	wbx, wby := d.cfg.windowBlocks()
-	if frame.W < d.cfg.WindowW || frame.H < d.cfg.WindowH || base.BlocksX < wbx || base.BlocksY < wby {
-		return fmt.Errorf("core: frame %dx%d smaller than detection window", frame.W, frame.H)
-	}
-	fs.octPlan = d.planOctaves(frame, base, fs.octPlan[:0])
-	skip := d.skipFinest(len(fs.octPlan))
-	total, cols := 0, 0
-	for _, l := range fs.octPlan[skip:] {
-		if l.rel != 1 || l.octave > 0 {
-			total += l.outBX * l.outBY * base.BlockLen
+// extractLevels builds the kept levels fs.octPlan[skip:] of the image or
+// octave pyramid into fs.levels. base is the arena's base map, octave 0,
+// scanned in place; it is nil when no kept level reads it. The octaves
+// >= 1 the kept levels read are extracted together (fs.ext), into maps of
+// the level store, which is sized for them and for every resampled level
+// before any is built. Each level resamples its octave by the
+// remaining factor rel with Config.Scale, its rows on up to workers
+// goroutines; a level at rel 1, which every image-pyramid level is, scans
+// its octave's map itself.
+func (d *Detector) extractLevels(ctx context.Context, frame *imgproc.Gray, base *hog.FeatureMap, fs *frameScratch, skip, workers int) error {
+	plan, e := fs.octPlan[skip:], &fs.ext
+	blockLen := d.cfg.HOG.BlockLen()
+	e.jobs = slices.Grow(e.jobs[:0], len(plan))
+	total, cols, resampled := 0, 0, 0
+	for i, l := range plan {
+		if l.octave > 0 && (i == 0 || plan[i-1].octave != l.octave) {
+			e.jobs = append(e.jobs, l)
+			total += l.bx * l.by * blockLen
 		}
 		if l.rel != 1 {
+			total += l.outBX * l.outBY * blockLen
 			cols += l.outBX
+			resampled++
 		}
 	}
-	fs.pyr.Reserve(total, cols)
-	octFM, extracted := base, 0
-	for i := skip; i < len(fs.octPlan); i++ {
-		l := fs.octPlan[i]
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if l.octave != extracted {
-			if fs.oct == nil {
-				fs.oct = hog.NewScratch()
+	fs.pyr.Reserve(len(e.jobs)+resampled, total, cols)
+	like := hog.FeatureMap{BlockLen: blockLen, Cfg: d.cfg.HOG}
+	e.maps = slices.Grow(e.maps[:0], len(e.jobs))
+	for _, l := range e.jobs {
+		e.maps = append(e.maps, fs.pyr.Map(l.bx, l.by, &like))
+	}
+	octFM, next := base, 0
+	for i, l := range plan {
+		if next < len(e.jobs) && e.jobs[next].octave == l.octave {
+			// The octaves are extracted once the levels reading the base
+			// map are built, while it is still in cache.
+			if next == 0 {
+				if err := e.run(ctx, d, frame, workers); err != nil {
+					return err
+				}
 			}
-			img := imgproc.ResizeInto(&fs.octFrame, frame, l.w, l.h, d.cfg.Interp)
-			var err error
-			if octFM, err = hog.ComputeInto(ctx, img, d.cfg.HOG, fs.oct, workers); err != nil {
-				return fmt.Errorf("core: octave %dx: %w", 1<<l.octave, err)
-			}
-			extracted = l.octave
+			octFM, next = e.maps[next], next+1
 		}
 		fm := octFM
-		switch {
-		case l.rel != 1:
+		if l.rel != 1 {
 			var err error
 			if fm, err = fs.pyr.Scale(ctx, octFM, l.outBX, l.outBY, l.rel, l.rel, d.cfg.Scale, workers); err != nil {
 				return err
 			}
-		case l.octave > 0:
-			fm = fs.pyr.Map(octFM.BlocksX, octFM.BlocksY, octFM)
-			copy(fm.Feat, octFM.Feat)
 		}
 		// Per-axis frame scale of the level: the octave's scale times
 		// the intra-octave block-grid ratio.
@@ -648,8 +558,64 @@ func (d *Detector) octaveLevels(ctx context.Context, frame *imgproc.Gray, base *
 			fm:    fm,
 			sx:    l.sx * float64(octFM.BlocksX) / float64(fm.BlocksX),
 			sy:    l.sy * float64(octFM.BlocksY) / float64(fm.BlocksY),
-			index: i,
+			index: skip + i,
 		})
+	}
+	return nil
+}
+
+// octaveFanOut is the octave extraction of extractLevels, one job per
+// octave on up to workers lanes. Each lane's goroutine owns a resize
+// buffer and a HOG scratch and pulls jobs from a shared counter, so the
+// lanes, grown once, serve every frame without allocating, and octaves of
+// different sizes still spread over the workers.
+type octaveFanOut struct {
+	jobs   []octaveLevel     // the levels that open the octaves to extract
+	maps   []*hog.FeatureMap // per job: the level-store map it is copied into
+	frames []imgproc.Gray    // per lane
+	hogs   []*hog.Scratch    // per lane
+	next   atomic.Int64      // the next job to claim
+	lane   func(int) error   // runLane, bound once: a per-frame method value would allocate
+	// The detector, ctx, frame and per-lane HOG workers of the run in
+	// progress.
+	d       *Detector
+	ctx     context.Context
+	frame   *imgproc.Gray
+	workers int
+}
+
+// run extracts every job, each the frame resized into its lane's buffer,
+// then HOG, copied into the job's map. With fewer octaves than workers, as
+// in an octave pyramid of one or two octaves, each lane's HOG splits its
+// rows over its share of the workers; otherwise it runs on its lane alone.
+func (e *octaveFanOut) run(ctx context.Context, d *Detector, frame *imgproc.Gray, workers int) error {
+	n := min(workers, len(e.jobs))
+	for len(e.hogs) < n {
+		e.frames = append(e.frames, imgproc.Gray{})
+		e.hogs = append(e.hogs, hog.NewScratch())
+	}
+	if e.lane == nil {
+		e.lane = e.runLane
+	}
+	e.d, e.ctx, e.frame, e.workers = d, ctx, frame, workers/n
+	e.next.Store(0)
+	err := par.Do(ctx, n, n, e.lane)
+	e.d, e.ctx, e.frame = nil, nil, nil
+	return err
+}
+
+// runLane extracts jobs on lane g until none is left. Once ctx is done,
+// ComputeInto stops before its first pass, so the lane stops within one
+// resize.
+func (e *octaveFanOut) runLane(g int) error {
+	for j := int(e.next.Add(1) - 1); j < len(e.jobs); j = int(e.next.Add(1) - 1) {
+		l := &e.jobs[j]
+		img := imgproc.ResizeInto(&e.frames[g], e.frame, l.w, l.h, e.d.cfg.Interp)
+		fm, err := hog.ComputeInto(e.ctx, img, e.d.cfg.HOG, e.hogs[g], e.workers)
+		if err != nil {
+			return fmt.Errorf("core: octave %d (%dx%d): %w", l.octave, l.w, l.h, err)
+		}
+		copy(e.maps[j].Feat, fm.Feat)
 	}
 	return nil
 }

@@ -379,6 +379,38 @@ func TestPyramidModeString(t *testing.T) {
 	}
 }
 
+// TestParsePyramidMode maps every mode's short name back to the mode,
+// covers every mode once, and rejects names of no mode.
+func TestParsePyramidMode(t *testing.T) {
+	seen := map[PyramidMode]bool{}
+	for _, c := range []struct {
+		name string
+		want PyramidMode
+	}{
+		{"image", ImagePyramid},
+		{"feature", FeaturePyramid},
+		{"chained", FeaturePyramidChained},
+		{"fixed", FeaturePyramidFixed},
+		{"octave", OctavePyramid},
+	} {
+		got, err := ParsePyramidMode(c.name)
+		if err != nil || got != c.want {
+			t.Errorf("ParsePyramidMode(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+		seen[got] = true
+	}
+	for m := ImagePyramid; m <= OctavePyramid; m++ {
+		if !seen[m] {
+			t.Errorf("mode %v has no short name", m)
+		}
+	}
+	for _, name := range []string{"", "pyramid", "Image", "octave ", "image-pyramid"} {
+		if m, err := ParsePyramidMode(name); err == nil {
+			t.Errorf("ParsePyramidMode(%q) = %v, want an error", name, m)
+		}
+	}
+}
+
 func TestMaxScalesLimitsLevels(t *testing.T) {
 	det, g := testDetector(t)
 	frame, _ := sceneWithPedestrian(g, 512, 512, 128)

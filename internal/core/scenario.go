@@ -85,13 +85,9 @@ func ClassifyFeatureScaledFixed(model *svm.Model, img *imgproc.Gray, cfg Config)
 	wbx, wby := cfg.windowBlocks()
 	scaled := fm
 	if img.W != cfg.WindowW || img.H != cfg.WindowH {
-		scaler := cfg.Fixed
-		if scaler == nil {
-			scaler = defaultFixed
-		}
 		rx := float64(img.W) / float64(cfg.WindowW)
 		ry := float64(img.H) / float64(cfg.WindowH)
-		scaled, _, err = scaler.ScaleMapRatio(fm, wbx, wby, rx, ry)
+		scaled, _, err = cfg.Fixed.ScaleMapRatio(fm, wbx, wby, rx, ry) // a nil Fixed is the default scaler
 		if err != nil {
 			return 0, err
 		}

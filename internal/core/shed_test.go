@@ -8,17 +8,19 @@ import (
 	"repro/internal/obs"
 )
 
-// TestSkipFinestShedsLevels pins SkipFinest at 0..3 in every feature-
-// pyramid mode against the shedding it replaces (build every level, then
-// drop the finest from the scan): the raw detections must be bit-identical
-// and LevelProbe must see the same absolute level indices. The direct
-// build must resample only the levels it keeps; the chained build still
-// resamples every level it chains through.
+// TestSkipFinestShedsLevels pins SkipFinest at 0..3 in every pyramid mode
+// against the shedding it replaces (build every level, then drop the
+// finest from the scan): the raw detections must be bit-identical and
+// LevelProbe must see the same absolute level indices. The direct build
+// must resample only the levels it keeps; the chained build still
+// resamples every level it chains through. The image and octave pyramids
+// must extract the full-frame HOG only if a kept level reads it: in octave
+// mode that is checked on both sides of the last octave-0 level too.
 func TestSkipFinestShedsLevels(t *testing.T) {
 	det, _ := testDetector(t)
 	frame := goldenSequence(t).Frames[0]
 	ctx := context.Background()
-	for _, mode := range []PyramidMode{FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid} {
+	for _, mode := range []PyramidMode{ImagePyramid, FeaturePyramid, FeaturePyramidChained, FeaturePyramidFixed, OctavePyramid} {
 		base := DefaultConfig()
 		base.Mode = mode
 		base.Threshold = -0.5 // plenty of raw windows on every level
@@ -26,7 +28,21 @@ func TestSkipFinestShedsLevels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for skip := 0; skip <= 3; skip++ {
+		skips := []int{0, 1, 2, 3}
+		var plan []octaveLevel // the extracted-level ladder, nil in the feature modes
+		if mode == ImagePyramid || mode == OctavePyramid {
+			plan = full.planLevels(frame.W, frame.H, nil)
+		}
+		if mode == OctavePyramid {
+			n0 := 0
+			for _, l := range plan {
+				if l.octave == 0 {
+					n0++
+				}
+			}
+			skips = append(skips, n0-1, n0) // the last level reading the base map, then none
+		}
+		for _, skip := range skips {
 			label := fmt.Sprintf("%v skip=%d", mode, skip)
 			// The old shedding: every level built, the finest dropped.
 			fs, err := full.buildLevels(ctx, frame)
@@ -49,6 +65,7 @@ func TestSkipFinestShedsLevels(t *testing.T) {
 			cfg := base
 			cfg.SkipFinest = skip
 			cfg.Scale.LevelTimer = new(obs.Histogram)
+			cfg.Metrics = obs.NewDetectRecorder(obs.NewMetrics())
 			var gotProbe []int
 			cfg.LevelProbe = func(_ context.Context, level int) error {
 				gotProbe = append(gotProbe, level)
@@ -68,6 +85,13 @@ func TestSkipFinestShedsLevels(t *testing.T) {
 			sameDetections(t, label, want, got)
 			if fmt.Sprint(gotProbe) != fmt.Sprint(wantProbe) {
 				t.Errorf("%s: probed levels %v, want %v", label, gotProbe, wantProbe)
+			}
+			wantBase := uint64(1)
+			if len(plan) > 0 && plan[min(skip, len(plan)-1)].octave > 0 {
+				wantBase = 0
+			}
+			if n := cfg.Metrics.Metrics().Stage[obs.StageHOGCells].Snapshot().Count; n != wantBase {
+				t.Errorf("%s: %d full-frame HOG extractions, want %d", label, n, wantBase)
 			}
 			var resampled int
 			switch mode {

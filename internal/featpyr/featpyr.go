@@ -287,7 +287,7 @@ type Level struct {
 // chain writing into fixed buffers: once a pyramid of a given geometry has
 // been built, rebuilding it allocates nothing. Level 0 is the caller's base
 // map itself, not a copy. The maps of a build, and those handed out by Map
-// and Scale, stay valid until the next Build, BuildChained or Reset. The
+// and Scale, stay valid until the next build or Reserve. The
 // zero value is ready to use; a Pyramid serves one frame at a time.
 type Pyramid struct {
 	Levels []Level
@@ -327,20 +327,23 @@ type band struct {
 // large enough that dispatch costs nothing.
 const bandRows = 8
 
-// Reset drops every level and map of the previous build, recycling their
-// storage. The slab grows to what the previous build asked for, so a
-// geometry seen once is served from it from then on.
-func (p *Pyramid) Reset() { p.reset(0, 0) }
+// Reserve drops every level and map of the previous build, recycling
+// their storage, which grows to what the previous build asked for, so a
+// geometry seen once is served from it from then on. It also grows the
+// storage to at least maps map headers of features features in all and
+// the resampling tables to at least columns output block columns (the sum
+// of BlocksX over the maps Scale will resample), so that such maps are
+// carved and resampled without allocating, on the first frame of a
+// geometry too.
+func (p *Pyramid) Reserve(maps, features, columns int) {
+	p.reset(features, columns)
+	if maps > len(p.maps) {
+		p.maps = make([]hog.FeatureMap, maps)
+	}
+}
 
-// Reserve is Reset, also growing the storage to at least features
-// features and the resampling tables to at least columns output block
-// columns (the sum of BlocksX over the maps Scale will resample), so that
-// such maps are carved and resampled without allocating, on the first
-// frame of a geometry too.
-func (p *Pyramid) Reserve(features, columns int) { p.reset(features, columns) }
-
-// reset is Reset, also growing the slab to at least features elements and
-// the tap store to at least columns taps.
+// reset is Reserve of no map headers: it grows the slab to at least
+// features elements and the tap store to at least columns taps.
 func (p *Pyramid) reset(features, columns int) {
 	if n := max(p.need, features); n > len(p.slab) {
 		p.slab = make([]float64, n)
@@ -355,7 +358,7 @@ func (p *Pyramid) reset(features, columns int) {
 
 // Map returns a bx x by map with like's block length and HOG configuration,
 // carved from the pyramid's storage; its features are stale and must all be
-// written. It stays valid until the next Build, BuildChained or Reset.
+// written. It stays valid until the next build or Reserve.
 func (p *Pyramid) Map(bx, by int, like *hog.FeatureMap) *hog.FeatureMap {
 	feat := carve(p.slab, &p.used, &p.need, bx*by*like.BlockLen)
 	if p.nmaps == len(p.maps) {
@@ -529,6 +532,32 @@ func (p *Pyramid) Build(ctx context.Context, base *hog.FeatureMap, step float64,
 // depends on the one before, so the levels run in order, each with its rows
 // spread over up to workers goroutines; otherwise it behaves as Build.
 func (p *Pyramid) BuildChained(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, cfg ScaleConfig, workers int) error {
+	return p.chain(ctx, base, step, minBX, minBY, maxLevels, func(src *hog.FeatureMap, bx, by int, rx, ry float64) (*hog.FeatureMap, error) {
+		return p.Scale(ctx, src, bx, by, rx, ry, cfg, workers)
+	})
+}
+
+// BuildFixed is BuildChained on the bit-accurate shift-and-add datapath:
+// each level is s.ScaleInto of the one before (a nil s is the shared
+// default scaler), written into p's storage, and timer gets one
+// observation per level.
+func (p *Pyramid) BuildFixed(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int, s *FixedScaler, timer *obs.Histogram) error {
+	return p.chain(ctx, base, step, minBX, minBY, maxLevels, func(src *hog.FeatureMap, bx, by int, rx, ry float64) (*hog.FeatureMap, error) {
+		m := p.Map(bx, by, src)
+		t0 := time.Now()
+		_, err := s.ScaleInto(m, src, rx, ry)
+		timer.Observe(time.Since(t0))
+		return m, err
+	})
+}
+
+// chain is the loop of BuildChained and BuildFixed: it plans the ladder of
+// grids, each the one before divided by step, as far as the window fits
+// and maxLevels allows (0 means unlimited), reserves the storage of them
+// all, and then writes level i >= 1 with scale(level i-1, grid, ratios).
+// A scaler failure on a planned level is an error, not the pyramid's end.
+func (p *Pyramid) chain(ctx context.Context, base *hog.FeatureMap, step float64, minBX, minBY, maxLevels int,
+	scale func(src *hog.FeatureMap, bx, by int, rx, ry float64) (*hog.FeatureMap, error)) error {
 	if step <= 1 {
 		return fmt.Errorf("featpyr: pyramid step %g must exceed 1", step)
 	}
@@ -552,12 +581,13 @@ func (p *Pyramid) BuildChained(ctx context.Context, base *hog.FeatureMap, step f
 	p.Levels = append(slices.Grow(p.Levels, levels), Level{Scale: 1, Map: base})
 	prev := base
 	for i := 1; i < levels; i++ {
-		bx, by := next(prev.BlocksX, prev.BlocksY)
-		m := p.Map(bx, by, prev)
-		p.bands = p.bands[:0]
-		p.addBands(m, prev, float64(prev.BlocksX)/float64(bx), float64(prev.BlocksY)/float64(by), 0)
-		if err := p.resample(ctx, cfg, 1, workers); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
+		}
+		bx, by := next(prev.BlocksX, prev.BlocksY)
+		m, err := scale(prev, bx, by, float64(prev.BlocksX)/float64(bx), float64(prev.BlocksY)/float64(by))
+		if err != nil {
+			return fmt.Errorf("featpyr: level %d: %w", i, err)
 		}
 		p.Levels = append(p.Levels, Level{Scale: math.Pow(step, float64(i)), Map: m})
 		prev = m

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fixed"
 	"repro/internal/geom"
 	"repro/internal/hog"
 	"repro/internal/imgproc"
@@ -515,7 +516,7 @@ func TestResampleKernelMatchesScalar(t *testing.T) {
 						if _, err := p.Scale(ctx, src, g[2], g[3], rx, ry, sc, workers); err != nil {
 							t.Fatal(err)
 						}
-						p.Reset()
+						p.Reserve(0, 0, 0)
 						for i := range p.slab {
 							p.slab[i] = math.NaN()
 						}
@@ -569,6 +570,56 @@ func TestPyramidRebuildReusesStorage(t *testing.T) {
 	for i, l := range p.Levels {
 		if j := sameBits(l.Map.Feat, snap[i]); j >= 0 {
 			t.Fatalf("level %d feature %d changed on rebuild over reused storage", i, j)
+		}
+	}
+}
+
+// TestBuildFixedMatchesScaleMap pins BuildFixed to the single-map fixed
+// scaler: level i is FixedScaler.ScaleMap of level i-1 bit for bit, on the
+// ladder of grids BuildChained plans, a nil scaler is the default one, the
+// timer gets one observation per level, and a rebuild reuses the storage.
+func TestBuildFixedMatchesScaleMap(t *testing.T) {
+	ctx := context.Background()
+	base := randomMap(t, 264, 400, 43)
+	var chained Pyramid
+	if err := chained.BuildChained(ctx, base, 1.15, 8, 16, 0, ScaleConfig{}, 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*FixedScaler{nil, {FeatFmt: fixed.Q(2, 13), WeightFrac: 6}} {
+		ref := s
+		if ref == nil {
+			ref = NewFixedScaler()
+		}
+		var p Pyramid
+		timer := new(obs.Histogram)
+		if err := p.BuildFixed(ctx, base, 1.15, 8, 16, 0, s, timer); err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Levels) != len(chained.Levels) || p.Levels[0].Map != base {
+			t.Fatalf("%d levels (level 0 base: %v), BuildChained plans %d", len(p.Levels), p.Levels[0].Map == base, len(chained.Levels))
+		}
+		if got, want := timer.Snapshot().Count, uint64(len(p.Levels)-1); got != want {
+			t.Errorf("%d level timings for %d scaled levels", got, want)
+		}
+		for i := 1; i < len(p.Levels); i++ {
+			m, c := p.Levels[i].Map, chained.Levels[i].Map
+			if m.BlocksX != c.BlocksX || m.BlocksY != c.BlocksY {
+				t.Fatalf("level %d: grid %dx%d, BuildChained's %dx%d", i, m.BlocksX, m.BlocksY, c.BlocksX, c.BlocksY)
+			}
+			want, _, err := ref.ScaleMap(p.Levels[i-1].Map, m.BlocksX, m.BlocksY)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if j := sameBits(m.Feat, want.Feat); j >= 0 {
+				t.Fatalf("level %d: feature %d differs from FixedScaler.ScaleMap", i, j)
+			}
+		}
+		slab := &p.Levels[1].Map.Feat[0]
+		if err := p.BuildFixed(ctx, base, 1.15, 8, 16, 0, s, nil); err != nil {
+			t.Fatal(err)
+		}
+		if &p.Levels[1].Map.Feat[0] != slab {
+			t.Error("rebuild moved level 1 off the pyramid's slab")
 		}
 	}
 }

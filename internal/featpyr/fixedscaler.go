@@ -34,7 +34,7 @@ func getQF(n int) *[]int64 {
 // fractional bits and applied through canonical-signed-digit shift-and-add
 // networks — no multipliers, exactly as in the FPGA implementation
 // ("Scaling modules are implemented by shift-and-add instead of multiplier",
-// Section 5).
+// Section 5). A nil *FixedScaler scales with one shared NewFixedScaler.
 type FixedScaler struct {
 	// FeatFmt is the storage format of feature words (default Q0.15, a
 	// 16-bit word for features in [0, 1)).
@@ -109,6 +109,10 @@ func NewFixedScaler() *FixedScaler {
 	return &FixedScaler{FeatFmt: fixed.Q(0, 15), WeightFrac: 8}
 }
 
+// defaultFixed is the scaler a nil *FixedScaler stands for, shared so that
+// its phase networks are built once per process, not per frame.
+var defaultFixed = NewFixedScaler()
+
 // adderEstimate reports how many hardware adders one output sample costs:
 // the shift-add networks for the four coefficients plus the 3-adder
 // combination tree.
@@ -154,6 +158,9 @@ func (s *FixedScaler) ScaleMapRatio(fm *hog.FeatureMap, outBX, outBY int, rx, ry
 // target grid, BlocksX x BlocksY blocks of fm.BlockLen features (a map from
 // Pyramid.Map, say), and every feature is overwritten.
 func (s *FixedScaler) ScaleInto(dst, fm *hog.FeatureMap, rx, ry float64) (ScaleStats, error) {
+	if s == nil {
+		s = defaultFixed
+	}
 	outBX, outBY := dst.BlocksX, dst.BlocksY
 	if outBX < 1 || outBY < 1 || dst.BlockLen != fm.BlockLen || len(dst.Feat) != outBX*outBY*fm.BlockLen {
 		return ScaleStats{}, fmt.Errorf("featpyr: target map %dx%d with %d features does not fit blocks of %d",

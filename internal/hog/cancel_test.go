@@ -52,3 +52,24 @@ func TestComputeIntoPreCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestShortPixPanicsInCaller: an image whose pixel buffer is shorter than
+// its header claims panics on the calling goroutine at every worker count,
+// also when the buffer's capacity would cover the claimed size (a slice
+// cut short within a larger array), where reslicing alone would read the
+// stale bytes past len.
+func TestShortPixPanicsInCaller(t *testing.T) {
+	full := imgproc.NewGray(64, 128)
+	short := &imgproc.Gray{W: full.W, H: full.H, Pix: full.Pix[:len(full.Pix)-1]}
+	for _, workers := range []int{1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("workers=%d: short pixel buffer did not panic", workers)
+				}
+			}()
+			_, err := ComputeInto(context.Background(), short, DefaultConfig(), NewScratch(), workers)
+			t.Errorf("workers=%d: short pixel buffer returned (err %v)", workers, err)
+		}()
+	}
+}

@@ -281,13 +281,17 @@ func computeCellsImpl(ctx context.Context, img *imgproc.Gray, cfg Config, dst *C
 	if cfg.SqrtGamma {
 		lut = &lumLUTGamma
 	}
+	// Check the claimed dimensions against len(Pix), here on the calling
+	// goroutine: a pixel buffer shorter than its header must panic in the
+	// caller (the streaming runtime converts that to a per-frame
+	// PanicError), exactly like the reference's accessor, rather than
+	// inside a pool worker. Reslicing alone would not do: it succeeds
+	// within the buffer's capacity and reads the stale bytes past len.
+	if len(img.Pix) < w*h {
+		panic(fmt.Sprintf("hog: image %dx%d has %d of its %d pixels", w, h, len(img.Pix), w*h))
+	}
 	fc := &s.fc
 	*fc = fusedCtx{
-		// Index by the claimed dimensions, not len(Pix), and do it here on
-		// the calling goroutine: a pixel buffer shorter than its header must
-		// panic in the caller (the streaming runtime converts that to a
-		// per-frame PanicError), exactly like the reference's accessor,
-		// rather than inside a pool worker.
 		pix:     img.Pix[:w*h],
 		lut:     lut,
 		lum:     s.lum[:w*h],

@@ -48,9 +48,9 @@ const (
 	StageHOGCells
 	// StageHOGNorm is block assembly and normalization.
 	StageHOGNorm
-	// StagePyramid is pyramid construction past the base feature map (all
-	// level resampling; in image-pyramid mode the whole per-level
-	// resize+HOG loop is accounted here).
+	// StagePyramid is pyramid construction past the base feature map: all
+	// level resampling and, in the image and octave pyramids, the resize
+	// and HOG extraction of their coarser octaves.
 	StagePyramid
 	// StageScan is the sliding-window classifier scan over all levels.
 	StageScan

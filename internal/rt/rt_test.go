@@ -147,46 +147,70 @@ func TestShedUnderStallAndRecover(t *testing.T) {
 }
 
 // TestPoisonFrameDoesNotKillStream: a frame whose pixel buffer is shorter
-// than its header claims panics inside feature extraction; the runtime
-// converts it to a per-frame error and keeps scanning.
+// than its header claims panics in the detector; the runtime converts it
+// to a per-frame error and keeps scanning. It holds in every pyramid mode,
+// for a buffer truncated outright and for a slice cut short within its
+// capacity.
 func TestPoisonFrameDoesNotKillStream(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			det, frame := testDetector(t, nil)
-			det = withWorkers(t, det, workers)
-			p, err := New(det, Config{Deadline: 10 * time.Second})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer p.Close()
+			for _, mode := range []core.PyramidMode{core.ImagePyramid, core.FeaturePyramid,
+				core.FeaturePyramidChained, core.FeaturePyramidFixed, core.OctavePyramid} {
+				t.Run(mode.String(), func(t *testing.T) {
+					det, frame := testDetector(t, nil)
+					det = withMode(t, withWorkers(t, det, workers), mode)
+					p, err := New(det, Config{Deadline: 10 * time.Second})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer p.Close()
 
-			if r := step(t, p, frame); r.Err != nil {
-				t.Fatalf("clean frame: %v", r.Err)
-			}
-			poison := faultinject.TruncatePix(frame, len(frame.Pix)/2)
-			r := step(t, p, poison)
-			if r.Err == nil {
-				t.Fatal("poison frame produced no error")
-			}
-			var pe *PanicError
-			if !errors.As(r.Err, &pe) {
-				t.Fatalf("poison frame error %v, want *PanicError", r.Err)
-			}
-			if r := step(t, p, frame); r.Err != nil {
-				t.Fatalf("stream did not continue after poison frame: %v", r.Err)
-			}
-			s := p.Stats()
-			if s.Panics != 1 || s.Errors != 1 {
-				t.Errorf("panics/errors = %d/%d, want 1/1", s.Panics, s.Errors)
-			}
-			if s.FramesOut != 3 {
-				t.Errorf("frames out %d, want 3", s.FramesOut)
-			}
-			if s.Rung != 0 {
-				t.Errorf("rung %d: poison frames must not trigger degradation", s.Rung)
+					if r := step(t, p, frame); r.Err != nil {
+						t.Fatalf("clean frame: %v", r.Err)
+					}
+					poisons := []*imgproc.Gray{
+						faultinject.TruncatePix(frame, len(frame.Pix)/2),
+						{W: frame.W, H: frame.H, Pix: frame.Pix[:len(frame.Pix)/2]},
+					}
+					for _, poison := range poisons {
+						r := step(t, p, poison)
+						if r.Err == nil {
+							t.Fatal("poison frame produced no error")
+						}
+						var pe *PanicError
+						if !errors.As(r.Err, &pe) {
+							t.Fatalf("poison frame error %v, want *PanicError", r.Err)
+						}
+						if r := step(t, p, frame); r.Err != nil {
+							t.Fatalf("stream did not continue after poison frame: %v", r.Err)
+						}
+					}
+					s := p.Stats()
+					if s.Panics != 2 || s.Errors != 2 {
+						t.Errorf("panics/errors = %d/%d, want 2/2", s.Panics, s.Errors)
+					}
+					if s.FramesOut != 5 {
+						t.Errorf("frames out %d, want 5", s.FramesOut)
+					}
+					if s.Rung != 0 {
+						t.Errorf("rung %d: poison frames must not trigger degradation", s.Rung)
+					}
+				})
 			}
 		})
 	}
+}
+
+// withMode rebuilds det with cfg.Mode = mode.
+func withMode(t *testing.T, det *core.Detector, mode core.PyramidMode) *core.Detector {
+	t.Helper()
+	cfg := det.Config()
+	cfg.Mode = mode
+	d, err := core.NewDetector(det.Model(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // withWorkers rebuilds det with cfg.Workers = workers.
