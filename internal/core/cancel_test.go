@@ -92,7 +92,9 @@ func TestDetectCtxMidScanCancellation(t *testing.T) {
 			cfg.Mode = m.mode
 			cfg.ScaleStep = 1.3
 			cfg.Workers = workers
-			entered := make(chan struct{})
+			// Buffered, so the first probe's signal is kept even when it
+			// fires before the test goroutine waits for it.
+			entered := make(chan struct{}, 1)
 			cfg.LevelProbe = func(ctx context.Context, level int) error {
 				select {
 				case entered <- struct{}{}:
