@@ -420,7 +420,7 @@ func (d *Detector) fillLevels(ctx context.Context, frame *imgproc.Gray, fs *fram
 		// has extractLevels, which sheds its own); the chained and fixed
 		// builds resample them to chain through them. Absolute indices are
 		// kept so LevelProbe still addresses the original scale ladder.
-		skip := d.skipFinest(len(fs.pyr.Levels))
+		skip = d.skipFinest(len(fs.pyr.Levels))
 		fs.levels = slices.Grow(fs.levels, len(fs.pyr.Levels)-skip)
 		for i, l := range fs.pyr.Levels[skip:] {
 			// Effective per-axis scale of this level from the block-grid
